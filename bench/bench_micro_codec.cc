@@ -1,10 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the NAS codec and SEED payload
 // paths: message encode/decode, cause lookup (the SIM's per-diagnosis
 // table walk), DiagInfo encode + protect + AUTN fragmentation, and
-// failure-report DNN packing.
+// failure-report DNN packing. Each path reuses warm buffers the way the
+// modem and core do. Crypto throughput per message size lives in
+// bench_crypto.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <fstream>
+#include <vector>
 
 #include "crypto/security_context.h"
 #include "obs/prof.h"
@@ -37,17 +41,21 @@ nas::NasMessage sample_pdu_accept() {
 
 void BM_EncodePduAccept(benchmark::State& state) {
   const nas::NasMessage msg = sample_pdu_accept();
+  Bytes scratch;
   for (auto _ : state) {
-    Bytes wire = nas::encode_message(msg);
-    benchmark::DoNotOptimize(wire);
+    const BytesView wire = nas::encode_message_into(msg, scratch);
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_EncodePduAccept);
 
 void BM_DecodePduAccept(benchmark::State& state) {
-  const Bytes wire = nas::encode_message(sample_pdu_accept());
+  Bytes wire;
+  nas::encode_message_into(sample_pdu_accept(), wire);
+  nas::DecodeError err;
   for (auto _ : state) {
-    auto msg = nas::decode_message(wire);
+    auto msg = nas::decode_message(wire, &err);
     benchmark::DoNotOptimize(msg);
   }
 }
@@ -74,10 +82,16 @@ void BM_DiagInfoDownlinkPath(benchmark::State& state) {
   Writer w;
   nas::Dnn("internet.v2").encode(w);
   d.config = proto::ConfigPayload{nas::ConfigKind::kSuggestedDnn, w.bytes()};
+  Bytes plain, frame;
+  std::vector<std::array<std::uint8_t, 16>> frags;
   for (auto _ : state) {
-    const Bytes frame = ctx.protect(d.encode(), crypto::Direction::kDownlink);
-    auto frags = proto::AutnCodec::fragment(frame);
-    benchmark::DoNotOptimize(frags);
+    Writer pw(std::move(plain));
+    d.encode_into(pw);
+    plain = std::move(pw).take();
+    ctx.protect_into(plain, crypto::Direction::kDownlink, frame);
+    proto::AutnCodec::fragment_into(frame, frags);
+    benchmark::DoNotOptimize(frags.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_DiagInfoDownlinkPath);
@@ -89,8 +103,12 @@ void BM_FailureReportUplinkPath(benchmark::State& state) {
   r.type = proto::FailureType::kTcp;
   r.addr = nas::Ipv4::from_string("203.0.113.10");
   r.port = 443;
+  Bytes plain, frame;
   for (auto _ : state) {
-    const Bytes frame = ctx.protect(r.encode(), crypto::Direction::kUplink);
+    Writer pw(std::move(plain));
+    r.encode_into(pw);
+    plain = std::move(pw).take();
+    ctx.protect_into(plain, crypto::Direction::kUplink, frame);
     auto dnns = proto::DiagDnnCodec::pack(frame);
     benchmark::DoNotOptimize(dnns);
   }
@@ -99,8 +117,11 @@ BENCHMARK(BM_FailureReportUplinkPath);
 
 }  // namespace
 
-// Custom main — see bench_micro_crypto.cc: profiled run, gitignored
-// *_full dump (adaptive iteration counts make it non-deterministic).
+// Custom main: run with the hot-path profiler armed and dump the cost
+// attribution next to the timings. Iteration counts are adaptive, so the
+// dump is NOT deterministic — it is the gitignored *_full flavour (times
+// included), never a committed artifact. Reported per-op timings include
+// the (measured-as-tiny) enabled-profiler overhead.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

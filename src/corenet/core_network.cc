@@ -23,8 +23,8 @@ std::uint8_t sm(SmCause c) { return static_cast<std::uint8_t>(c); }
 }  // namespace
 
 CoreNetwork::CoreNetwork(sim::Simulator& sim, sim::Rng& rng, SubscriberDb& db,
-                         ran::Gnb& gnb, metrics::CpuMeter& cpu)
-    : sim_(sim), rng_(rng), db_(db), gnb_(gnb), cpu_(cpu) {}
+                         metrics::CpuMeter& cpu)
+    : sim_(sim), rng_(rng), db_(db), cpu_(cpu) {}
 
 CoreNetwork::~CoreNetwork() = default;
 
@@ -53,11 +53,6 @@ UeId CoreNetwork::attach_device(const std::string& supi, ran::Gnb& gnb,
     ue->seed_ctx.emplace(sub->seed_key, kSeedBearer);
   }
   return ue->id;
-}
-
-void CoreNetwork::attach_device(const std::string& supi,
-                                std::function<void(BytesView)> downlink) {
-  attach_device(supi, gnb_, std::move(downlink));
 }
 
 const std::string& CoreNetwork::ue_supi(UeId ue) const {

@@ -72,20 +72,11 @@ Block aes_cmac_seg(const Aes128& aes, const Block& k1, const Block& k2,
   return x;
 }
 
-Block aes_cmac(const Key128& key, BytesView message) {
-  const Aes128 aes(key);
-  Block k1, k2;
-  cmac_subkeys(aes, k1, k2);
-  return aes_cmac_seg(aes, k1, k2, {}, message);
-}
-
-namespace {
-
-// Shared unzoned EIA2 core: wrappers open the crypto.eia2 zone exactly
-// once each (the profiler counts a call per begin(), even reentrant).
-std::uint32_t eia2_core(const Aes128& aes, const Block& k1, const Block& k2,
-                        std::uint32_t count, std::uint8_t bearer,
-                        std::uint8_t direction, BytesView message) {
+std::uint32_t eia2_mac(const Aes128& aes, const Block& k1, const Block& k2,
+                       std::uint32_t count, std::uint8_t bearer,
+                       std::uint8_t direction, BytesView message) {
+  PROF_ZONE("crypto.eia2");
+  PROF_BYTES(message.size());
   const std::uint8_t header[8] = {
       static_cast<std::uint8_t>(count >> 24),
       static_cast<std::uint8_t>(count >> 16),
@@ -98,27 +89,6 @@ std::uint32_t eia2_core(const Aes128& aes, const Block& k1, const Block& k2,
   return (static_cast<std::uint32_t>(tag[0]) << 24) |
          (static_cast<std::uint32_t>(tag[1]) << 16) |
          (static_cast<std::uint32_t>(tag[2]) << 8) | tag[3];
-}
-
-}  // namespace
-
-std::uint32_t eia2_mac(const Key128& key, std::uint32_t count,
-                       std::uint8_t bearer, std::uint8_t direction,
-                       BytesView message) {
-  PROF_ZONE("crypto.eia2");
-  PROF_BYTES(message.size());
-  const Aes128 aes(key);
-  Block k1, k2;
-  cmac_subkeys(aes, k1, k2);
-  return eia2_core(aes, k1, k2, count, bearer, direction, message);
-}
-
-std::uint32_t eia2_mac(const Aes128& aes, const Block& k1, const Block& k2,
-                       std::uint32_t count, std::uint8_t bearer,
-                       std::uint8_t direction, BytesView message) {
-  PROF_ZONE("crypto.eia2");
-  PROF_BYTES(message.size());
-  return eia2_core(aes, k1, k2, count, bearer, direction, message);
 }
 
 }  // namespace seed::crypto

@@ -14,25 +14,18 @@ namespace seed::crypto {
 /// messages under one key without re-deriving.
 void cmac_subkeys(const Aes128& aes, Block& k1, Block& k2);
 
-/// Full 128-bit AES-CMAC tag over `message`.
-Block aes_cmac(const Key128& key, BytesView message);
-
-/// CMAC against pre-derived subkeys: tag over the logical concatenation
-/// `header || message` without materializing it (the EIA2 path MACs an
-/// 8-byte COUNT/BEARER/DIRECTION header ahead of the payload; copying
-/// the payload just to prepend 8 bytes doubled its allocation bill).
+/// Full 128-bit AES-CMAC tag over the logical concatenation
+/// `header || message`, against pre-derived subkeys, without
+/// materializing it (the EIA2 path MACs an 8-byte COUNT/BEARER/DIRECTION
+/// header ahead of the payload). Plain CMAC passes an empty header.
 Block aes_cmac_seg(const Aes128& aes, const Block& k1, const Block& k2,
                    BytesView header, BytesView message);
 
 /// 3GPP 128-EIA2: 32-bit MAC over COUNT(32) || BEARER(5)|padding || DIRECTION
 /// prepended as an 8-byte header, per TS 33.401. `direction` is 0 (uplink)
-/// or 1 (downlink); `bearer` is 5 bits.
-std::uint32_t eia2_mac(const Key128& key, std::uint32_t count,
-                       std::uint8_t bearer, std::uint8_t direction,
-                       BytesView message);
-
-/// EIA2 against a cached key schedule + subkeys: no per-call expansion,
-/// no header-copy of the message, no allocation.
+/// or 1 (downlink); `bearer` is 5 bits. Runs against a cached key
+/// schedule + subkeys: no per-call expansion, no header-copy of the
+/// message, no allocation.
 std::uint32_t eia2_mac(const Aes128& aes, const Block& k1, const Block& k2,
                        std::uint32_t count, std::uint8_t bearer,
                        std::uint8_t direction, BytesView message);

@@ -43,13 +43,6 @@ void aes_ctr_xor(const Aes128& aes, Block counter, BytesView in,
   }
 }
 
-Bytes aes_ctr(const Key128& key, const Block& initial_counter, BytesView data) {
-  const Aes128 aes(key);
-  Bytes out(data.size());
-  aes_ctr_xor(aes, initial_counter, data, out.data());
-  return out;
-}
-
 Bytes aes_ctr_ref(const Key128& key, const Block& initial_counter,
                   BytesView data) {
   const Aes128 aes(key);
@@ -81,17 +74,6 @@ Block eea2_iv(std::uint32_t count, std::uint8_t bearer,
 }
 
 }  // namespace
-
-Bytes eea2_crypt(const Key128& key, std::uint32_t count, std::uint8_t bearer,
-                 std::uint8_t direction, BytesView data) {
-  PROF_ZONE("crypto.eea2");
-  PROF_BYTES(data.size());
-  PROF_ALLOC(data.size());  // keystream-XORed output buffer
-  const Aes128 aes(key);
-  Bytes out(data.size());
-  aes_ctr_xor(aes, eea2_iv(count, bearer, direction), data, out.data());
-  return out;
-}
 
 void eea2_crypt_into(const Aes128& aes, std::uint32_t count,
                      std::uint8_t bearer, std::uint8_t direction, BytesView in,

@@ -10,12 +10,6 @@ SecurityContext::SecurityContext(const Key128& key, std::uint8_t bearer)
   cmac_subkeys(aes_, k1_, k2_);
 }
 
-Bytes SecurityContext::protect(BytesView plaintext, Direction dir) {
-  Bytes frame;
-  protect_into(plaintext, dir, frame);
-  return frame;
-}
-
 void SecurityContext::protect_into(BytesView plaintext, Direction dir,
                                    Bytes& frame) {
   const auto d = static_cast<std::uint8_t>(dir);
@@ -30,13 +24,6 @@ void SecurityContext::protect_into(BytesView plaintext, Direction dir,
       eia2_mac(aes_, k1_, k2_, count, bearer_, d, cipher) >> 16);
   frame[frame.size() - 2] = static_cast<std::uint8_t>(mac >> 8);
   frame[frame.size() - 1] = static_cast<std::uint8_t>(mac);
-}
-
-std::optional<Bytes> SecurityContext::unprotect(BytesView frame,
-                                                Direction dir) {
-  Bytes plain;
-  if (!unprotect_into(frame, dir, plain)) return std::nullopt;
-  return plain;
 }
 
 bool SecurityContext::unprotect_into(BytesView frame, Direction dir,

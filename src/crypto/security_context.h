@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/bytes.h"
 #include "crypto/aes.h"
@@ -31,20 +30,15 @@ class SecurityContext {
   SecurityContext(const Key128& key, std::uint8_t bearer);
 
   /// Protects a plaintext: encrypt, MAC, prepend counter. Each call
-  /// consumes one counter value for `dir`.
-  Bytes protect(BytesView plaintext, Direction dir);
-
-  /// Allocation-free protect: writes COUNT||cipher||MAC into `frame`
-  /// (resized to plaintext.size() + kOverhead; no allocation once the
-  /// buffer's capacity has warmed up). `plaintext` must not alias `frame`.
+  /// consumes one counter value for `dir`. Writes COUNT||cipher||MAC into
+  /// `frame` (resized to plaintext.size() + kOverhead; no allocation once
+  /// the buffer's capacity has warmed up). `plaintext` must not alias
+  /// `frame`.
   void protect_into(BytesView plaintext, Direction dir, Bytes& frame);
 
-  /// Verifies and decrypts a frame. Returns nullopt on truncated frames,
-  /// bad MAC, or replayed/stale counters.
-  std::optional<Bytes> unprotect(BytesView frame, Direction dir);
-
-  /// Allocation-free unprotect: on success writes the plaintext into
-  /// `plain` and returns true. `frame` must not alias `plain`.
+  /// Verifies and decrypts a frame: on success writes the plaintext into
+  /// `plain` and returns true. Returns false on truncated frames, bad
+  /// MAC, or replayed/stale counters. `frame` must not alias `plain`.
   bool unprotect_into(BytesView frame, Direction dir, Bytes& plain);
 
   std::uint32_t tx_count(Direction dir) const {

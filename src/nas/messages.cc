@@ -562,9 +562,10 @@ std::string_view msg_type_name(MsgType t) {
   return "Unknown";
 }
 
-namespace {
-
-void encode_to_writer(Writer& w, const NasMessage& msg) {
+BytesView encode_message_into(const NasMessage& msg, Bytes& scratch) {
+  PROF_ZONE("nas.encode");
+  const std::size_t warm_capacity = scratch.capacity();
+  Writer w(std::move(scratch));
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -576,25 +577,6 @@ void encode_to_writer(Writer& w, const NasMessage& msg) {
         encode_body(w, m);
       },
       msg);
-}
-
-}  // namespace
-
-Bytes encode_message(const NasMessage& msg) {
-  PROF_ZONE("nas.encode");
-  Writer w;
-  encode_to_writer(w, msg);
-  Bytes wire = std::move(w).take();
-  PROF_BYTES(wire.size());
-  PROF_ALLOC(wire.size());
-  return wire;
-}
-
-BytesView encode_message_into(const NasMessage& msg, Bytes& scratch) {
-  PROF_ZONE("nas.encode");
-  const std::size_t warm_capacity = scratch.capacity();
-  Writer w(std::move(scratch));
-  encode_to_writer(w, msg);
   scratch = std::move(w).take();
   PROF_BYTES(scratch.size());
   // A real allocation happened only if the scratch outgrew its warmed-up
@@ -615,11 +597,6 @@ std::string_view decode_error_name(DecodeError e) {
     case DecodeError::kTrailingBytes: return "trailing-bytes";
   }
   return "invalid";
-}
-
-std::optional<NasMessage> decode_message(BytesView data) {
-  DecodeError err;
-  return decode_message(data, &err);
 }
 
 std::optional<NasMessage> decode_message(BytesView data, DecodeError* err) {

@@ -202,13 +202,11 @@ using NasMessage = std::variant<
     PduSessionModificationCommand, PduSessionReleaseRequest,
     PduSessionReleaseCommand, PduSessionReleaseComplete>;
 
-/// Serializes any NAS message to wire bytes.
-Bytes encode_message(const NasMessage& msg);
-
-/// Allocation-free encode: serializes into `scratch` (cleared first,
-/// capacity kept) and returns a view of the wire bytes. The view is valid
-/// until the next use of `scratch`. Steady state allocates nothing once
-/// the scratch capacity has warmed up to the largest message seen.
+/// Serializes any NAS message into `scratch` (cleared first, capacity
+/// kept) and returns a view of the wire bytes, which are all of
+/// `scratch`. The view is valid until the next use of `scratch`. Steady
+/// state allocates nothing once the scratch capacity has warmed up to the
+/// largest message seen.
 BytesView encode_message_into(const NasMessage& msg, Bytes& scratch);
 
 /// Why a decode rejected its input. kNone means the decode succeeded;
@@ -227,11 +225,9 @@ enum class DecodeError : std::uint8_t {
 std::string_view decode_error_name(DecodeError e);
 
 /// Parses wire bytes; nullopt on any malformed input (wrong EPD, unknown
-/// type, truncated body, trailing garbage, invalid field values).
-std::optional<NasMessage> decode_message(BytesView data);
-
-/// Same parse, but reports the reject reason through `err` (set to
-/// kNone on success). Never leaves `err` unset.
+/// type, truncated body, trailing garbage, invalid field values). Reports
+/// the reject reason through `err` (set to kNone on success); never
+/// leaves `err` unset.
 std::optional<NasMessage> decode_message(BytesView data, DecodeError* err);
 
 /// Message type of an in-memory message (for logging/stats).

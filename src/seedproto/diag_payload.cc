@@ -28,12 +28,6 @@ std::string_view reset_action_name(ResetAction a) {
   return "invalid";
 }
 
-Bytes DiagInfo::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
 void DiagInfo::encode_into(Writer& w) const {
   w.u8(static_cast<std::uint8_t>(kind));
   w.u8(plane == nas::Plane::kControl ? 0 : 1);
@@ -91,15 +85,14 @@ std::optional<DiagInfo> DiagInfo::decode(BytesView data) {
 //   fragment 0: byte 1 = total frame length (<= 224), bytes 2.. payload
 //   fragment k>0: bytes 1.. payload
 namespace {
-
 constexpr std::size_t kFirstPayload = 14;
 constexpr std::size_t kRestPayload = 15;
+}  // namespace
 
-// Unzoned fragmentation core: both public wrappers open the
-// "seedproto.fragment" zone exactly once (the profiler counts a call per
-// begin(), even reentrant), then delegate here.
-void fragment_core(BytesView frame,
-                   std::vector<std::array<std::uint8_t, 16>>& out) {
+void AutnCodec::fragment_into(BytesView frame,
+                              std::vector<std::array<std::uint8_t, 16>>& out) {
+  PROF_ZONE("seedproto.fragment");
+  PROF_BYTES(frame.size());
   if (frame.size() > kFirstPayload + 14 * kRestPayload) {
     throw std::length_error("AutnCodec: frame too large for 15 fragments");
   }
@@ -124,37 +117,12 @@ void fragment_core(BytesView frame,
   }
 }
 
-}  // namespace
-
-std::vector<std::array<std::uint8_t, 16>> AutnCodec::fragment(
-    BytesView frame) {
-  PROF_ZONE("seedproto.fragment");
-  PROF_BYTES(frame.size());
-  std::vector<std::array<std::uint8_t, 16>> out;
-  fragment_core(frame, out);
-  return out;
-}
-
-void AutnCodec::fragment_into(BytesView frame,
-                              std::vector<std::array<std::uint8_t, 16>>& out) {
-  PROF_ZONE("seedproto.fragment");
-  PROF_BYTES(frame.size());
-  fragment_core(frame, out);
-}
-
 void AutnCodec::Reassembler::reset() {
   buffer_.clear();
   expected_total_ = 0;
   received_ = 0;
   last_len_ = 0;
   last_completed_total_ = 0;
-}
-
-std::optional<Bytes> AutnCodec::Reassembler::feed(
-    const std::array<std::uint8_t, 16>& autn) {
-  const auto view = feed_view(autn);
-  if (!view) return std::nullopt;
-  return Bytes(view->begin(), view->end());
 }
 
 std::optional<BytesView> AutnCodec::Reassembler::reject() {
@@ -217,7 +185,7 @@ std::optional<BytesView> AutnCodec::Reassembler::feed_view(
   if (last_len_ > buffer_.size()) return reject();
   // Transfer complete. The buffer is kept (cleared lazily at the start of
   // the next transfer) so the returned view stays valid until the next
-  // feed()/feed_view()/reset() call.
+  // feed_view()/reset() call.
   last_completed_total_ = expected_total_;
   expected_total_ = 0;
   received_ = 0;

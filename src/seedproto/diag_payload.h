@@ -72,7 +72,6 @@ struct DiagInfo {
   std::optional<std::uint16_t> congestion_wait_s;  // kCongestionWarning
   bool operator==(const DiagInfo&) const = default;
 
-  Bytes encode() const;
   /// Appends the encoding to `w` (arena/scratch-backed Writers make the
   /// hot path allocation-free).
   void encode_into(Writer& w) const;
@@ -89,11 +88,9 @@ class AutnCodec {
   static constexpr std::size_t kFragmentPayload = 15;
   static constexpr std::size_t kMaxFrame = 15 * kFragmentPayload;
 
-  /// Throws std::length_error when the frame exceeds kMaxFrame.
-  static std::vector<std::array<std::uint8_t, 16>> fragment(BytesView frame);
-
-  /// Reusable-buffer variant: clears `out` and refills it, keeping its
-  /// capacity across transfers (per-UE frag queues stay allocation-free).
+  /// Clears `out` and refills it with the fragments, keeping its capacity
+  /// across transfers (per-UE frag queues stay allocation-free). Throws
+  /// std::length_error when the frame exceeds kMaxFrame.
   static void fragment_into(BytesView frame,
                             std::vector<std::array<std::uint8_t, 16>>& out);
 
@@ -102,14 +99,12 @@ class AutnCodec {
   /// the state and return nullopt.
   class Reassembler {
    public:
-    std::optional<Bytes> feed(const std::array<std::uint8_t, 16>& autn);
-    /// Zero-copy variant: the returned view aliases the reassembler's
-    /// internal buffer and stays valid until the next feed()/feed_view()/
-    /// reset() call.
+    /// The returned view aliases the reassembler's internal buffer and
+    /// stays valid until the next feed_view()/reset() call.
     std::optional<BytesView> feed_view(const std::array<std::uint8_t, 16>& autn);
     void reset();
     std::size_t pending_fragments() const { return received_; }
-    /// True when the most recent feed()/feed_view() *rejected* its input
+    /// True when the most recent feed_view() *rejected* its input
     /// (malformed or inconsistent fragment). False for the benign nullopt
     /// cases — mid-transfer progress and duplicate-of-last — so receivers
     /// can account for genuinely malformed traffic.

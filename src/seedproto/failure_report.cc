@@ -25,12 +25,6 @@ std::string_view failure_type_name(FailureType t) {
   return "invalid";
 }
 
-Bytes FailureReport::encode() const {
-  Writer w;
-  encode_into(w);
-  return std::move(w).take();
-}
-
 void FailureReport::encode_into(Writer& w) const {
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(static_cast<std::uint8_t>(direction));
@@ -129,12 +123,6 @@ void DiagDnnCodec::Reassembler::reset() {
   last_completed_total_ = 0;
 }
 
-std::optional<Bytes> DiagDnnCodec::Reassembler::feed(const nas::Dnn& dnn) {
-  const auto view = feed_view(dnn);
-  if (!view) return std::nullopt;
-  return Bytes(view->begin(), view->end());
-}
-
 std::optional<BytesView> DiagDnnCodec::Reassembler::reject() {
   reset();
   last_rejected_ = true;
@@ -201,7 +189,7 @@ std::optional<BytesView> DiagDnnCodec::Reassembler::feed_view(
   if (received_ < expected_total_) return std::nullopt;
   // Transfer complete. The buffer is kept (cleared lazily at the start of
   // the next transfer) so the returned view stays valid until the next
-  // feed()/feed_view()/reset() call.
+  // feed_view()/reset() call.
   last_completed_total_ = expected_total_;
   expected_total_ = 0;
   received_ = 0;

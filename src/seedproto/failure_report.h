@@ -45,7 +45,6 @@ struct FailureReport {
   std::string domain;                 // DNS
   bool operator==(const FailureReport&) const = default;
 
-  Bytes encode() const;
   /// Appends the encoding to `w` (arena/scratch-backed Writers make the
   /// hot path allocation-free).
   void encode_into(Writer& w) const;
@@ -65,14 +64,12 @@ class DiagDnnCodec {
   /// Streaming reassembly across consecutive requests.
   class Reassembler {
    public:
-    /// Returns the full frame when the final fragment arrives.
-    std::optional<Bytes> feed(const nas::Dnn& dnn);
-    /// Zero-copy variant: the returned view aliases the reassembler's
-    /// internal buffer and stays valid until the next feed()/feed_view()/
-    /// reset() call.
+    /// Returns the full frame when the final fragment arrives. The view
+    /// aliases the reassembler's internal buffer and stays valid until
+    /// the next feed_view()/reset() call.
     std::optional<BytesView> feed_view(const nas::Dnn& dnn);
     void reset();
-    /// True when the most recent feed()/feed_view() *rejected* its input
+    /// True when the most recent feed_view() *rejected* its input
     /// (malformed or inconsistent fragment). False for the benign nullopt
     /// cases — mid-transfer progress and duplicate-of-last — so receivers
     /// can account for genuinely malformed traffic.

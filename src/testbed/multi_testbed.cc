@@ -44,8 +44,7 @@ MultiTestbed::MultiTestbed(std::uint64_t seed, const MultiOptions& opts)
 
   slots_.resize(opts.ue_count);
   for (auto& slot : slots_) slot.gnb = std::make_unique<ran::Gnb>(sim_, rng_);
-  core_ = std::make_unique<corenet::CoreNetwork>(sim_, rng_, db_,
-                                                 *slots_[0].gnb, cpu_);
+  core_ = std::make_unique<corenet::CoreNetwork>(sim_, rng_, db_, cpu_);
   core_->enable_seed(opts.scheme != Scheme::kLegacy);
   core_->set_learner(&learner_);
   core_->enable_diag_cache(opts.diag_cache);

@@ -59,8 +59,7 @@ Testbed::Testbed(std::uint64_t seed, Scheme scheme)
   obs::Tracer::instance().set_ue_source(nullptr);
   obs::observe_simulator(sim_);
   gnb_ = std::make_unique<ran::Gnb>(sim_, rng_);
-  core_ = std::make_unique<corenet::CoreNetwork>(sim_, rng_, db_, *gnb_,
-                                                 cpu_);
+  core_ = std::make_unique<corenet::CoreNetwork>(sim_, rng_, db_, cpu_);
   core_->enable_seed(scheme != Scheme::kLegacy);
 
   corenet::Subscriber sub;
@@ -261,7 +260,8 @@ Outcome Testbed::run_dp_failure(DpFailure f, sim::Duration timeout) {
     }
     case DpFailure::kCustomUnknown:
       faults.custom_cause_dp = kCustomDpCode;
-      faults.custom_dp_armed_reg_gen = core_->registration_generation();
+      faults.custom_dp_armed_reg_gen =
+          core_->registration_generation(device_->ue_id());
       break;
   }
 
@@ -292,7 +292,7 @@ Outcome Testbed::run_dp_failure(DpFailure f, sim::Duration timeout) {
   // Data-plane management procedure under fault: the SMF lost the
   // session context (state desync) and the device re-requests it while
   // staying registered. Disruption is measured from the procedure start.
-  core_->drop_sessions();
+  core_->drop_sessions(device_->ue_id());
   device_->modem().restart_data_session();
   Outcome out = await_recovery(t0, timeout);
   faults.custom_cause_dp.reset();
@@ -304,18 +304,18 @@ Outcome Testbed::run_delivery_failure(DeliveryFailure f,
                                       bool immediate_detection) {
   switch (f) {
     case DeliveryFailure::kStaleSession:
-      core_->make_sessions_stale();
+      core_->make_sessions_stale(device_->ue_id());
       break;
     case DeliveryFailure::kTcpBlock: {
       corenet::TrafficPolicy p;
       p.tcp_blocked = true;
-      core_->set_effective_policy(p);
+      core_->set_effective_policy(device_->ue_id(), p);
       break;
     }
     case DeliveryFailure::kUdpBlock: {
       corenet::TrafficPolicy p;
       p.udp_blocked = true;
-      core_->set_effective_policy(p);
+      core_->set_effective_policy(device_->ue_id(), p);
       break;
     }
     case DeliveryFailure::kDnsOutage:
@@ -379,8 +379,9 @@ Outcome Testbed::run_custom_failure(nas::Plane plane, core::CustomCause code,
     device_->modem().trigger_reattach();
   } else {
     faults.custom_cause_dp = code;
-    faults.custom_dp_armed_reg_gen = core_->registration_generation();
-    core_->drop_sessions();
+    faults.custom_dp_armed_reg_gen =
+        core_->registration_generation(device_->ue_id());
+    core_->drop_sessions(device_->ue_id());
     device_->modem().restart_data_session();
   }
   Outcome out = await_recovery(t0, timeout);

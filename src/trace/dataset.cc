@@ -59,33 +59,40 @@ const std::vector<MixEntry>& mixture() {
 
 Bytes make_outcome(sim::Rng& rng, nas::Plane plane, bool failed,
                    std::uint8_t cause) {
+  nas::NasMessage msg;
   if (plane == nas::Plane::kControl) {
     if (failed) {
       nas::RegistrationReject rej;
       rej.cause = cause;
       if (rng.chance(0.3)) rej.t3502_seconds = 720;
-      return nas::encode_message(nas::NasMessage(rej));
+      msg = rej;
+    } else {
+      nas::RegistrationAccept acc;
+      acc.guti = nas::Guti{{310, 260}, 1, 1,
+                           static_cast<std::uint32_t>(rng.next())};
+      acc.tai_list = {nas::Tai{{310, 260}, 100}};
+      msg = acc;
     }
-    nas::RegistrationAccept acc;
-    acc.guti = nas::Guti{{310, 260}, 1, 1,
-                         static_cast<std::uint32_t>(rng.next())};
-    acc.tai_list = {nas::Tai{{310, 260}, 100}};
-    return nas::encode_message(nas::NasMessage(acc));
+  } else {
+    nas::SmHeader hdr{1, static_cast<std::uint8_t>(rng.uniform_int(1, 250))};
+    if (failed) {
+      nas::PduSessionEstablishmentReject rej;
+      rej.hdr = hdr;
+      rej.cause = cause;
+      if (rng.chance(0.2)) rej.backoff_seconds = 60;
+      msg = rej;
+    } else {
+      nas::PduSessionEstablishmentAccept acc;
+      acc.hdr = hdr;
+      acc.ue_addr = nas::Ipv4{{10, 45, 0, 9}};
+      acc.dns_addr = nas::Ipv4{{10, 45, 0, 1}};
+      acc.qos = nas::QosRule{9, 10000, 50000};
+      msg = acc;
+    }
   }
-  nas::SmHeader hdr{1, static_cast<std::uint8_t>(rng.uniform_int(1, 250))};
-  if (failed) {
-    nas::PduSessionEstablishmentReject rej;
-    rej.hdr = hdr;
-    rej.cause = cause;
-    if (rng.chance(0.2)) rej.backoff_seconds = 60;
-    return nas::encode_message(nas::NasMessage(rej));
-  }
-  nas::PduSessionEstablishmentAccept acc;
-  acc.hdr = hdr;
-  acc.ue_addr = nas::Ipv4{{10, 45, 0, 9}};
-  acc.dns_addr = nas::Ipv4{{10, 45, 0, 1}};
-  acc.qos = nas::QosRule{9, 10000, 50000};
-  return nas::encode_message(nas::NasMessage(acc));
+  Bytes wire;
+  nas::encode_message_into(msg, wire);
+  return wire;
 }
 
 }  // namespace
@@ -175,7 +182,8 @@ AnalysisResult analyze(const Dataset& dataset) {
   out.procedures = dataset.records.size();
   std::map<std::pair<nas::Plane, std::uint8_t>, std::size_t> counts;
   for (const auto& rec : dataset.records) {
-    const auto msg = nas::decode_message(rec.outcome_message);
+    nas::DecodeError err;
+    const auto msg = nas::decode_message(rec.outcome_message, &err);
     if (!msg) {
       ++out.undecodable;
       continue;

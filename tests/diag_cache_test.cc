@@ -29,10 +29,10 @@ using proto::ResetAction;
 // (exactly what the core protects and fragments to the SIM) plus the
 // reset-trigger flag.
 Bytes payload_of(const AssistAdvice& a) {
-  Bytes b;
-  if (a.diag) b = a.diag->encode();
-  b.push_back(a.trigger_dplane_reset ? 1 : 0);
-  return b;
+  Writer w;
+  if (a.diag) a.diag->encode_into(w);
+  w.u8(a.trigger_dplane_reset ? 1 : 0);
+  return std::move(w).take();
 }
 
 // Randomized Fig. 8 input covering every branch. `dnn` stands in for the

@@ -4,6 +4,7 @@
 #include "nas/ie.h"
 #include "nas/messages.h"
 #include "simcore/rng.h"
+#include "wire_helpers.h"
 
 namespace seed::nas {
 namespace {
@@ -295,8 +296,8 @@ TEST(Ie, Standard5qiValues) {
 // -------------------------------------------------------------- messages
 
 NasMessage roundtrip(const NasMessage& in) {
-  const Bytes wire = encode_message(in);
-  const auto out = decode_message(wire);
+  const Bytes wire = test::nas_wire(in);
+  const auto out = test::nas_decode(wire);
   EXPECT_TRUE(out.has_value()) << "type "
                                << static_cast<int>(message_type(in));
   return out.value_or(in);
@@ -458,40 +459,40 @@ TEST(Messages, ConfigurationUpdateRoundTrip) {
 // -------------------------------------------------- malformed input
 
 TEST(Messages, RejectsWrongEpd) {
-  Bytes wire = encode_message(ServiceAccept{});
+  Bytes wire = test::nas_wire(ServiceAccept{});
   wire[0] = 0x11;
-  EXPECT_FALSE(decode_message(wire).has_value());
+  EXPECT_FALSE(test::nas_decode(wire).has_value());
 }
 
 TEST(Messages, RejectsUnknownType) {
-  Bytes wire = encode_message(ServiceAccept{});
+  Bytes wire = test::nas_wire(ServiceAccept{});
   wire[2] = 0x00;
-  EXPECT_FALSE(decode_message(wire).has_value());
+  EXPECT_FALSE(test::nas_decode(wire).has_value());
 }
 
 TEST(Messages, RejectsSecuredHeaderWithoutContext) {
-  Bytes wire = encode_message(ServiceAccept{});
+  Bytes wire = test::nas_wire(ServiceAccept{});
   wire[1] = 1;  // claims integrity protection we don't model inline
-  EXPECT_FALSE(decode_message(wire).has_value());
+  EXPECT_FALSE(test::nas_decode(wire).has_value());
 }
 
 TEST(Messages, RejectsTrailingGarbage) {
-  Bytes wire = encode_message(ServiceAccept{});
+  Bytes wire = test::nas_wire(ServiceAccept{});
   wire.push_back(0x00);
-  EXPECT_FALSE(decode_message(wire).has_value());
+  EXPECT_FALSE(test::nas_decode(wire).has_value());
 }
 
 TEST(Messages, RejectsEmptyBuffer) {
-  EXPECT_FALSE(decode_message(BytesView{}).has_value());
+  EXPECT_FALSE(test::nas_decode(BytesView{}).has_value());
 }
 
 TEST(Messages, RejectsUnknownTlvTag) {
   RegistrationReject m;
   m.cause = 11;
-  Bytes wire = encode_message(m);
+  Bytes wire = test::nas_wire(m);
   wire.push_back(0xee);  // unknown tag
   wire.push_back(0x00);  // empty value
-  EXPECT_FALSE(decode_message(wire).has_value());
+  EXPECT_FALSE(test::nas_decode(wire).has_value());
 }
 
 // Property: every truncation of every valid message is either rejected or
@@ -524,13 +525,13 @@ TEST(Messages, TruncationNeverCrashesOrMisparses) {
     corpus.emplace_back(m);
   }
   for (const auto& msg : corpus) {
-    const Bytes wire = encode_message(msg);
+    const Bytes wire = test::nas_wire(msg);
     for (std::size_t len = 0; len < wire.size(); ++len) {
       const BytesView prefix(wire.data(), len);
-      const auto out = decode_message(prefix);
+      const auto out = test::nas_decode(prefix);
       if (out) {
         // A shorter parse is acceptable only if it reproduces those bytes.
-        EXPECT_EQ(encode_message(*out), Bytes(prefix.begin(), prefix.end()));
+        EXPECT_EQ(test::nas_wire(*out), Bytes(prefix.begin(), prefix.end()));
       }
     }
   }
@@ -552,15 +553,15 @@ TEST(Messages, FuzzBitFlipsAreSafe) {
   f.remote_port_hi = 443;
   t.filters = {f};
   m.tft = t;
-  const Bytes wire = encode_message(m);
+  const Bytes wire = test::nas_wire(m);
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes mutated = wire;
     const auto pos = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(wire.size()) - 1));
     mutated[pos] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
-    const auto out = decode_message(mutated);
+    const auto out = test::nas_decode(mutated);
     if (out) {
-      EXPECT_EQ(encode_message(*out), mutated);
+      EXPECT_EQ(test::nas_wire(*out), mutated);
     }
   }
 }
@@ -626,7 +627,7 @@ INSTANTIATE_TEST_SUITE_P(AllMmCauses, CauseSweepTest, [] {
 
 TEST(DecodeError, SuccessLeavesNone) {
   DecodeError err = DecodeError::kTrailingBytes;  // stale value
-  const Bytes wire = encode_message(NasMessage(ServiceAccept{}));
+  const Bytes wire = test::nas_wire(NasMessage(ServiceAccept{}));
   EXPECT_TRUE(decode_message(wire, &err).has_value());
   EXPECT_EQ(err, DecodeError::kNone);
 }
@@ -645,7 +646,7 @@ TEST(DecodeError, UnknownEpdIsBadProtocol) {
 }
 
 TEST(DecodeError, NonPlainSecurityHeaderRejected) {
-  Bytes wire = encode_message(NasMessage(ServiceAccept{}));
+  Bytes wire = test::nas_wire(NasMessage(ServiceAccept{}));
   wire[1] = 0x01;  // integrity-protected header type: not modeled
   DecodeError err;
   EXPECT_FALSE(decode_message(wire, &err).has_value());
@@ -653,7 +654,7 @@ TEST(DecodeError, NonPlainSecurityHeaderRejected) {
 }
 
 TEST(DecodeError, UnknownMessageTypeReported) {
-  Bytes wire = encode_message(NasMessage(ServiceAccept{}));
+  Bytes wire = test::nas_wire(NasMessage(ServiceAccept{}));
   wire[2] = 0xee;  // no such 5GMM type
   DecodeError err;
   EXPECT_FALSE(decode_message(wire, &err).has_value());
@@ -664,7 +665,7 @@ TEST(DecodeError, TruncatedBodyReported) {
   RegistrationRequest m;
   m.identity.kind = MobileIdentity::Kind::kSuci;
   m.identity.suci = {{310, 260}, "0000000001"};
-  Bytes wire = encode_message(NasMessage(m));
+  Bytes wire = test::nas_wire(NasMessage(m));
   wire.resize(wire.size() / 2);
   DecodeError err;
   EXPECT_FALSE(decode_message(wire, &err).has_value());
@@ -672,19 +673,11 @@ TEST(DecodeError, TruncatedBodyReported) {
 }
 
 TEST(DecodeError, TrailingBytesReported) {
-  Bytes wire = encode_message(NasMessage(ServiceAccept{}));
+  Bytes wire = test::nas_wire(NasMessage(ServiceAccept{}));
   wire.push_back(0x00);
   DecodeError err;
   EXPECT_FALSE(decode_message(wire, &err).has_value());
   EXPECT_EQ(err, DecodeError::kTrailingBytes);
-}
-
-TEST(DecodeError, LegacyOverloadAgrees) {
-  Bytes wire = encode_message(NasMessage(ServiceAccept{}));
-  wire.push_back(0x00);
-  DecodeError err;
-  EXPECT_EQ(decode_message(wire).has_value(),
-            decode_message(wire, &err).has_value());
 }
 
 TEST(DecodeError, NamesCoverTaxonomy) {

@@ -5,6 +5,7 @@
 #include "seedproto/diag_payload.h"
 #include "seedproto/failure_report.h"
 #include "simcore/rng.h"
+#include "wire_helpers.h"
 
 namespace seed::proto {
 namespace {
@@ -37,7 +38,7 @@ TEST(DiagInfo, StandardCauseRoundTrip) {
   d.kind = AssistKind::kStandardCause;
   d.plane = nas::Plane::kControl;
   d.cause = 9;
-  const auto out = DiagInfo::decode(d.encode());
+  const auto out = DiagInfo::decode(test::payload_bytes(d));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, d);
 }
@@ -52,7 +53,7 @@ TEST(DiagInfo, CauseWithConfigRoundTrip) {
   d.plane = nas::Plane::kData;
   d.cause = 27;
   d.config = ConfigPayload{nas::ConfigKind::kSuggestedDnn, w.bytes()};
-  const auto out = DiagInfo::decode(d.encode());
+  const auto out = DiagInfo::decode(test::payload_bytes(d));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, d);
   // The embedded config decodes back to the DNN.
@@ -68,7 +69,7 @@ TEST(DiagInfo, SuggestedActionRoundTrip) {
   d.plane = nas::Plane::kData;
   d.cause = 201;  // customized code
   d.suggested = ResetAction::kB3DPlaneReset;
-  const auto out = DiagInfo::decode(d.encode());
+  const auto out = DiagInfo::decode(test::payload_bytes(d));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->suggested, ResetAction::kB3DPlaneReset);
 }
@@ -78,23 +79,23 @@ TEST(DiagInfo, CongestionWarningRoundTrip) {
   d.kind = AssistKind::kCongestionWarning;
   d.cause = 22;
   d.congestion_wait_s = 45;
-  const auto out = DiagInfo::decode(d.encode());
+  const auto out = DiagInfo::decode(test::payload_bytes(d));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->congestion_wait_s, 45);
 }
 
 TEST(DiagInfo, RejectsBadKindPlaneFlags) {
   DiagInfo d;
-  Bytes wire = d.encode();
+  Bytes wire = test::payload_bytes(d);
   wire[0] = 0;  // kind 0 invalid
   EXPECT_FALSE(DiagInfo::decode(wire).has_value());
-  wire = d.encode();
+  wire = test::payload_bytes(d);
   wire[1] = 2;  // plane invalid
   EXPECT_FALSE(DiagInfo::decode(wire).has_value());
-  wire = d.encode();
+  wire = test::payload_bytes(d);
   wire[3] = 0x80;  // unknown flag
   EXPECT_FALSE(DiagInfo::decode(wire).has_value());
-  wire = d.encode();
+  wire = test::payload_bytes(d);
   wire.push_back(0);  // trailing garbage
   EXPECT_FALSE(DiagInfo::decode(wire).has_value());
   EXPECT_FALSE(DiagInfo::decode(BytesView{}).has_value());
@@ -110,19 +111,19 @@ TEST(DiagInfo, ResetActionNames) {
 
 TEST(AutnCodec, SingleFragmentFitsSmallFrame) {
   const Bytes frame = from_hex("0102030405060708090a0b0c0d0e");  // 14 bytes
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   ASSERT_EQ(frags.size(), 1u);
   AutnCodec::Reassembler re;
-  const auto out = re.feed(frags[0]);
+  const auto out = test::owned(re.feed_view(frags[0]));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
 }
 
 TEST(AutnCodec, EmptyFrame) {
-  const auto frags = AutnCodec::fragment({});
+  const auto frags = test::autn_fragments({});
   ASSERT_EQ(frags.size(), 1u);
   AutnCodec::Reassembler re;
-  const auto out = re.feed(frags[0]);
+  const auto out = test::owned(re.feed_view(frags[0]));
   ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(out->empty());
 }
@@ -133,12 +134,12 @@ TEST_P(AutnSizeTest, RoundTripAllSizes) {
   sim::Rng rng(GetParam());
   Bytes frame(GetParam());
   for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next());
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   AutnCodec::Reassembler re;
   std::optional<Bytes> out;
   for (const auto& f : frags) {
     EXPECT_FALSE(out.has_value());
-    out = re.feed(f);
+    out = test::owned(re.feed_view(f));
   }
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
@@ -150,29 +151,29 @@ INSTANTIATE_TEST_SUITE_P(Sizes, AutnSizeTest,
 
 TEST(AutnCodec, RejectsOversizedFrame) {
   Bytes big(225);
-  EXPECT_THROW(AutnCodec::fragment(big), std::length_error);
+  EXPECT_THROW(test::autn_fragments(big), std::length_error);
 }
 
 TEST(AutnCodec, OutOfOrderResets) {
   Bytes frame(60, 0xab);
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   ASSERT_GE(frags.size(), 3u);
   AutnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(frags[0]).has_value());
-  EXPECT_FALSE(re.feed(frags[2]).has_value());  // skipped frag 1 -> reset
+  EXPECT_FALSE(re.feed_view(frags[0]).has_value());
+  EXPECT_FALSE(re.feed_view(frags[2]).has_value());  // skipped frag 1 -> reset
   EXPECT_EQ(re.pending_fragments(), 0u);
   // A clean restart still works.
   std::optional<Bytes> out;
-  for (const auto& f : frags) out = re.feed(f);
+  for (const auto& f : frags) out = test::owned(re.feed_view(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
 }
 
 TEST(AutnCodec, MidStreamStartRejected) {
   Bytes frame(60, 0xcd);
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   AutnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(frags[1]).has_value());  // not seq 0
+  EXPECT_FALSE(re.feed_view(frags[1]).has_value());  // not seq 0
   EXPECT_EQ(re.pending_fragments(), 0u);
 }
 
@@ -180,9 +181,9 @@ TEST(AutnCodec, GarbageHeaderRejected) {
   AutnCodec::Reassembler re;
   std::array<std::uint8_t, 16> bad{};
   bad[0] = 0x00;  // total = 0
-  EXPECT_FALSE(re.feed(bad).has_value());
+  EXPECT_FALSE(re.feed_view(bad).has_value());
   bad[0] = 0x52;  // seq 5 of total 2
-  EXPECT_FALSE(re.feed(bad).has_value());
+  EXPECT_FALSE(re.feed_view(bad).has_value());
 }
 
 // -------------------------------------------------- end-to-end downlink
@@ -201,8 +202,9 @@ TEST(DownlinkChannel, ProtectFragmentAuthRequestRoundTrip) {
   d.cause = 27;
   d.config = ConfigPayload{nas::ConfigKind::kSuggestedDnn, cw.bytes()};
 
-  const Bytes frame = infra.protect(d.encode(), Direction::kDownlink);
-  const auto frags = AutnCodec::fragment(frame);
+  const Bytes frame =
+      test::sealed(infra, test::payload_bytes(d), Direction::kDownlink);
+  const auto frags = test::autn_fragments(frame);
 
   // Each fragment travels inside a standards-compliant Auth Request.
   AutnCodec::Reassembler re;
@@ -211,17 +213,17 @@ TEST(DownlinkChannel, ProtectFragmentAuthRequestRoundTrip) {
     nas::AuthenticationRequest req;
     req.rand = kDFlag;
     req.autn = frag;
-    const Bytes wire = nas::encode_message(nas::NasMessage(req));
-    const auto msg = nas::decode_message(wire);
+    const Bytes wire = test::nas_wire(nas::NasMessage(req));
+    const auto msg = test::nas_decode(wire);
     ASSERT_TRUE(msg.has_value());
     const auto& got = std::get<nas::AuthenticationRequest>(*msg);
     ASSERT_TRUE(is_dflag(got.rand));  // SIM recognizes the DFlag
-    rx_frame = re.feed(got.autn);
+    rx_frame = test::owned(re.feed_view(got.autn));
   }
   ASSERT_TRUE(rx_frame.has_value());
-  const auto plain = sim.unprotect(*rx_frame, Direction::kDownlink);
-  ASSERT_TRUE(plain.has_value());
-  const auto decoded = DiagInfo::decode(*plain);
+  Bytes plain;
+  ASSERT_TRUE(sim.unprotect_into(*rx_frame, Direction::kDownlink, plain));
+  const auto decoded = DiagInfo::decode(plain);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, d);
 }
@@ -231,14 +233,16 @@ TEST(DownlinkChannel, TamperedFragmentFailsMac) {
   SecurityContext sim(test_key(), 7);
   DiagInfo d;
   d.cause = 22;
-  Bytes frame = infra.protect(d.encode(), Direction::kDownlink);
-  auto frags = AutnCodec::fragment(frame);
+  Bytes frame =
+      test::sealed(infra, test::payload_bytes(d), Direction::kDownlink);
+  auto frags = test::autn_fragments(frame);
   frags[0][5] ^= 0x40;  // adversary flips a payload bit
   AutnCodec::Reassembler re;
   std::optional<Bytes> rx;
-  for (const auto& f : frags) rx = re.feed(f);
+  for (const auto& f : frags) rx = test::owned(re.feed_view(f));
   ASSERT_TRUE(rx.has_value());
-  EXPECT_FALSE(sim.unprotect(*rx, Direction::kDownlink).has_value());
+  Bytes plain;
+  EXPECT_FALSE(sim.unprotect_into(*rx, Direction::kDownlink, plain));
 }
 
 // ---------------------------------------------------------- FailureReport
@@ -249,7 +253,7 @@ TEST(FailureReport, TcpRoundTrip) {
   f.direction = TrafficDirection::kUplink;
   f.addr = nas::Ipv4::from_string("93.184.216.34");
   f.port = 443;
-  const auto out = FailureReport::decode(f.encode());
+  const auto out = FailureReport::decode(test::payload_bytes(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, f);
 }
@@ -259,7 +263,7 @@ TEST(FailureReport, DnsRoundTripWithDomain) {
   f.type = FailureType::kDns;
   f.direction = TrafficDirection::kBoth;
   f.domain = "connectivitycheck.gstatic.com";
-  const auto out = FailureReport::decode(f.encode());
+  const auto out = FailureReport::decode(test::payload_bytes(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->domain, f.domain);
 }
@@ -270,17 +274,17 @@ TEST(FailureReport, UdpRoundTrip) {
   f.direction = TrafficDirection::kDownlink;
   f.addr = nas::Ipv4::from_string("10.0.0.9");
   f.port = 3478;
-  const auto out = FailureReport::decode(f.encode());
+  const auto out = FailureReport::decode(test::payload_bytes(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, f);
 }
 
 TEST(FailureReport, RejectsMalformed) {
   FailureReport f;
-  Bytes wire = f.encode();
+  Bytes wire = test::payload_bytes(f);
   wire[0] = 9;  // bad type
   EXPECT_FALSE(FailureReport::decode(wire).has_value());
-  wire = f.encode();
+  wire = test::payload_bytes(f);
   wire[1] = 0;  // bad direction
   EXPECT_FALSE(FailureReport::decode(wire).has_value());
   EXPECT_FALSE(FailureReport::decode(BytesView{}).has_value());
@@ -320,7 +324,7 @@ TEST_P(DiagDnnSizeTest, RoundTrip) {
   std::optional<Bytes> out;
   for (const auto& d : dnns) {
     EXPECT_FALSE(out.has_value());
-    out = re.feed(d);
+    out = test::owned(re.feed_view(d));
   }
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
@@ -337,7 +341,7 @@ TEST(DiagDnn, RejectsOversized) {
 
 TEST(DiagDnn, NonDiagDnnResetsReassembler) {
   DiagDnnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(nas::Dnn("internet")).has_value());
+  EXPECT_FALSE(re.feed_view(nas::Dnn("internet")).has_value());
 }
 
 // ---------------- impaired-channel hardening (chaos layer regressions)
@@ -351,9 +355,9 @@ TEST(DiagDnn, DuplicatedFragmentIgnoredMidTransfer) {
   // nor reset the transfer.
   std::optional<Bytes> out;
   for (const auto& d : dnns) {
-    out = re.feed(d);
+    out = test::owned(re.feed_view(d));
     if (out) break;
-    EXPECT_FALSE(re.feed(d).has_value());
+    EXPECT_FALSE(re.feed_view(d).has_value());
   }
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
@@ -364,11 +368,11 @@ TEST(DiagDnn, ReorderedFragmentResetsAndRecovers) {
   const auto dnns = DiagDnnCodec::pack(frame);
   ASSERT_GE(dnns.size(), 3u);
   DiagDnnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(dnns[0]).has_value());
-  EXPECT_FALSE(re.feed(dnns[2]).has_value());  // skipped frag 1 -> reset
+  EXPECT_FALSE(re.feed_view(dnns[0]).has_value());
+  EXPECT_FALSE(re.feed_view(dnns[2]).has_value());  // skipped frag 1 -> reset
   // A clean restart still succeeds.
   std::optional<Bytes> out;
-  for (const auto& d : dnns) out = re.feed(d);
+  for (const auto& d : dnns) out = test::owned(re.feed_view(d));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
 }
@@ -378,28 +382,28 @@ TEST(DiagDnn, TruncatedBareHeaderFragmentRejected) {
   const auto dnns = DiagDnnCodec::pack(frame);
   ASSERT_GE(dnns.size(), 3u);
   DiagDnnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(dnns[0]).has_value());
+  EXPECT_FALSE(re.feed_view(dnns[0]).has_value());
   // Fragment 1 with its payload labels stripped: a truncated frame that
   // must reset the transfer instead of mis-assembling a short buffer.
   nas::Dnn bare = nas::Dnn::from_labels({dnns[1].labels()[0]});
-  EXPECT_FALSE(re.feed(bare).has_value());
+  EXPECT_FALSE(re.feed_view(bare).has_value());
   // The transfer restarts from fragment 0 and completes.
   std::optional<Bytes> out;
-  for (const auto& d : dnns) out = re.feed(d);
+  for (const auto& d : dnns) out = test::owned(re.feed_view(d));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
 }
 
 TEST(AutnCodec, DuplicatedFragmentIgnoredMidTransfer) {
   Bytes frame(100, 0x77);
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   ASSERT_GE(frags.size(), 3u);
   AutnCodec::Reassembler re;
   std::optional<Bytes> out;
   for (const auto& f : frags) {
-    out = re.feed(f);
+    out = test::owned(re.feed_view(f));
     if (out) break;
-    EXPECT_FALSE(re.feed(f).has_value());  // retransmit of the same frag
+    EXPECT_FALSE(re.feed_view(f).has_value());  // retransmit of the same frag
   }
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
@@ -417,7 +421,8 @@ TEST(UplinkChannel, ReportThroughPduSessionRequests) {
   report.addr = nas::Ipv4::from_string("198.51.100.7");
   report.port = 5004;
 
-  const Bytes frame = sim.protect(report.encode(), Direction::kUplink);
+  const Bytes frame =
+      test::sealed(sim, test::payload_bytes(report), Direction::kUplink);
   const auto dnns = DiagDnnCodec::pack(frame);
 
   DiagDnnCodec::Reassembler re;
@@ -427,17 +432,17 @@ TEST(UplinkChannel, ReportThroughPduSessionRequests) {
     nas::PduSessionEstablishmentRequest req;
     req.hdr = {9, pti++};
     req.dnn = dnn;
-    const Bytes wire = nas::encode_message(nas::NasMessage(req));
-    const auto msg = nas::decode_message(wire);
+    const Bytes wire = test::nas_wire(nas::NasMessage(req));
+    const auto msg = test::nas_decode(wire);
     ASSERT_TRUE(msg.has_value());
     const auto& got = std::get<nas::PduSessionEstablishmentRequest>(*msg);
     ASSERT_TRUE(DiagDnnCodec::is_diag(got.dnn));
-    rx = re.feed(got.dnn);
+    rx = test::owned(re.feed_view(got.dnn));
   }
   ASSERT_TRUE(rx.has_value());
-  const auto plain = infra.unprotect(*rx, Direction::kUplink);
-  ASSERT_TRUE(plain.has_value());
-  const auto decoded = FailureReport::decode(*plain);
+  Bytes plain;
+  ASSERT_TRUE(infra.unprotect_into(*rx, Direction::kUplink, plain));
+  const auto decoded = FailureReport::decode(plain);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, report);
 }
@@ -448,10 +453,12 @@ TEST(UplinkChannel, ReplayedReportRejected) {
   FailureReport report;
   report.type = FailureType::kDns;
   report.domain = "ldns.carrier.net";
-  const Bytes frame = sim.protect(report.encode(), Direction::kUplink);
-  EXPECT_TRUE(infra.unprotect(frame, Direction::kUplink).has_value());
+  const Bytes frame =
+      test::sealed(sim, test::payload_bytes(report), Direction::kUplink);
+  Bytes plain;
+  EXPECT_TRUE(infra.unprotect_into(frame, Direction::kUplink, plain));
   // Adversary resends the same DIAG DNNs: counter check kills it.
-  EXPECT_FALSE(infra.unprotect(frame, Direction::kUplink).has_value());
+  EXPECT_FALSE(infra.unprotect_into(frame, Direction::kUplink, plain));
 }
 
 // ----------------------- decoder-hardening audit regressions (semantic
@@ -465,48 +472,48 @@ TEST(AutnCodec, InconsistentDeclaredLengthRejected) {
   // up front rather than splicing a short frame out of 3 fragments' bytes.
   frag0[0] = 0x03;  // seq 0, total 3
   frag0[1] = 20;
-  EXPECT_FALSE(re.feed(frag0).has_value());
+  EXPECT_FALSE(re.feed_view(frag0).has_value());
   EXPECT_TRUE(re.last_rejected());
   EXPECT_EQ(re.pending_fragments(), 0u);
   // ...and a declared length beyond the fragment count's capacity.
   frag0[0] = 0x02;  // seq 0, total 2 -> capacity 29
   frag0[1] = 30;
-  EXPECT_FALSE(re.feed(frag0).has_value());
+  EXPECT_FALSE(re.feed_view(frag0).has_value());
   EXPECT_TRUE(re.last_rejected());
   // The boundary values themselves still start a transfer.
   frag0[0] = 0x02;
   frag0[1] = 30 - 1;
-  EXPECT_FALSE(re.feed(frag0).has_value());  // mid-transfer progress
+  EXPECT_FALSE(re.feed_view(frag0).has_value());  // mid-transfer progress
   EXPECT_FALSE(re.last_rejected());
 }
 
 TEST(AutnCodec, LastRejectedDistinguishesBenignNullopt) {
   Bytes frame(60, 0x5a);
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   ASSERT_GE(frags.size(), 3u);
   AutnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(frags[0]).has_value());  // progress, not a reject
+  EXPECT_FALSE(re.feed_view(frags[0]).has_value());  // progress, not a reject
   EXPECT_FALSE(re.last_rejected());
-  EXPECT_FALSE(re.feed(frags[0]).has_value());  // duplicate of last
+  EXPECT_FALSE(re.feed_view(frags[0]).has_value());  // duplicate of last
   EXPECT_FALSE(re.last_rejected());
-  EXPECT_FALSE(re.feed(frags[2]).has_value());  // reorder -> reject
+  EXPECT_FALSE(re.feed_view(frags[2]).has_value());  // reorder -> reject
   EXPECT_TRUE(re.last_rejected());
 }
 
 TEST(AutnCodec, FinalFragmentRetransmitAfterCompletionIsBenign) {
   Bytes frame(60, 0x77);
-  const auto frags = AutnCodec::fragment(frame);
+  const auto frags = test::autn_fragments(frame);
   ASSERT_GE(frags.size(), 2u);
   AutnCodec::Reassembler re;
   std::optional<Bytes> out;
-  for (const auto& f : frags) out = re.feed(f);
+  for (const auto& f : frags) out = test::owned(re.feed_view(f));
   ASSERT_TRUE(out.has_value());
   // The synch-failure ACK of the final fragment was lost; the core
   // retransmits it. Not malformed — and the next transfer still works.
-  EXPECT_FALSE(re.feed(frags.back()).has_value());
+  EXPECT_FALSE(re.feed_view(frags.back()).has_value());
   EXPECT_FALSE(re.last_rejected());
   out.reset();
-  for (const auto& f : frags) out = re.feed(f);
+  for (const auto& f : frags) out = test::owned(re.feed_view(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
 }
@@ -517,7 +524,7 @@ TEST(DiagDnn, OversizedPayloadLabelRejected) {
   const Bytes head = {'D', 'I', 'A', 'G', 0x01};  // seq 0, total 1
   DiagDnnCodec::Reassembler re;
   EXPECT_FALSE(
-      re.feed(nas::Dnn::from_labels({head, Bytes(64, 0xaa)})).has_value());
+      re.feed_view(nas::Dnn::from_labels({head, Bytes(64, 0xaa)})).has_value());
   EXPECT_TRUE(re.last_rejected());
 }
 
@@ -526,7 +533,8 @@ TEST(DiagDnn, OversizedFragmentPayloadRejected) {
   const Bytes head = {'D', 'I', 'A', 'G', 0x01};
   DiagDnnCodec::Reassembler re;
   EXPECT_FALSE(
-      re.feed(nas::Dnn::from_labels({head, Bytes(63, 0x01), Bytes(63, 0x02)}))
+      re.feed_view(
+            nas::Dnn::from_labels({head, Bytes(63, 0x01), Bytes(63, 0x02)}))
           .has_value());
   EXPECT_TRUE(re.last_rejected());
 }
@@ -536,11 +544,11 @@ TEST(DiagDnn, LastRejectedDistinguishesBenignNullopt) {
   const auto dnns = DiagDnnCodec::pack(frame);
   ASSERT_EQ(dnns.size(), 2u);
   DiagDnnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(dnns[0]).has_value());  // progress
+  EXPECT_FALSE(re.feed_view(dnns[0]).has_value());  // progress
   EXPECT_FALSE(re.last_rejected());
-  EXPECT_FALSE(re.feed(dnns[0]).has_value());  // duplicate of last
+  EXPECT_FALSE(re.feed_view(dnns[0]).has_value());  // duplicate of last
   EXPECT_FALSE(re.last_rejected());
-  EXPECT_FALSE(re.feed(nas::Dnn("internet")).has_value());  // non-diag
+  EXPECT_FALSE(re.feed_view(nas::Dnn("internet")).has_value());  // non-diag
   EXPECT_TRUE(re.last_rejected());
 }
 
@@ -549,16 +557,16 @@ TEST(DiagDnn, FinalFragmentRetransmitAfterCompletionIsBenign) {
   const auto dnns = DiagDnnCodec::pack(frame);
   ASSERT_EQ(dnns.size(), 2u);
   DiagDnnCodec::Reassembler re;
-  EXPECT_FALSE(re.feed(dnns[0]).has_value());
-  const auto out = re.feed(dnns[1]);
+  EXPECT_FALSE(re.feed_view(dnns[0]).has_value());
+  const auto out = test::owned(re.feed_view(dnns[1]));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, frame);
   // Retransmit of the final DNN after the reject-ACK was lost: benign.
-  EXPECT_FALSE(re.feed(dnns[1]).has_value());
+  EXPECT_FALSE(re.feed_view(dnns[1]).has_value());
   EXPECT_FALSE(re.last_rejected());
   // The next clean transfer still assembles.
   std::optional<Bytes> redo;
-  for (const auto& d : dnns) redo = re.feed(d);
+  for (const auto& d : dnns) redo = test::owned(re.feed_view(d));
   ASSERT_TRUE(redo.has_value());
   EXPECT_EQ(*redo, frame);
 }

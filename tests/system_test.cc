@@ -69,14 +69,15 @@ TEST(ModemSystem, StickyIdentityAblation) {
 TEST(ModemSystem, Fig6KeepsRegistrationAcrossDataReset) {
   Testbed tb(104, Scheme::kSeedR);
   tb.bring_up();
-  const std::uint64_t gen_before = tb.core().registration_generation();
+  const corenet::UeId ue = tb.dev().ue_id();
+  const std::uint64_t gen_before = tb.core().registration_generation(ue);
   bool done = false;
   tb.dev().modem().fast_dplane_reset([&done](bool ok) { done = ok; });
   while (!done) tb.simulator().run_for(sim::ms(50));
   // The DIAG companion bearer kept the UE context: no re-registration.
-  EXPECT_EQ(tb.core().registration_generation(), gen_before);
+  EXPECT_EQ(tb.core().registration_generation(ue), gen_before);
   EXPECT_TRUE(tb.dev().modem().data_connected());
-  EXPECT_TRUE(tb.core().device_registered());
+  EXPECT_TRUE(tb.core().device_registered(ue));
 }
 
 TEST(ModemSystem, NaiveDataResetWithoutDiagSessionLosesContext) {
@@ -88,7 +89,7 @@ TEST(ModemSystem, NaiveDataResetWithoutDiagSessionLosesContext) {
   tb.dev().modem().release_data_session([&released] { released = true; });
   while (!released) tb.simulator().run_for(sim::ms(50));
   tb.simulator().run_for(sim::ms(200));
-  EXPECT_FALSE(tb.core().device_registered());
+  EXPECT_FALSE(tb.core().device_registered(tb.dev().ue_id()));
   EXPECT_EQ(tb.gnb().bearer_count(), 0u);
 }
 
@@ -111,7 +112,7 @@ TEST(AppletSystem, RateLimiterBlocksBackToBackResets) {
   // frequently; the signaling messages are thus not overwhelming").
   corenet::TrafficPolicy p;
   p.tcp_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   // SEED-U cannot repair a network-side policy error; the applet must
   // not storm the network trying.
   proto::FailureReport r;
@@ -157,7 +158,7 @@ TEST(AndroidSystem, SequentialRetryEscalatesInOrder) {
   p.tcp_blocked = true;
   p.udp_blocked = true;
   p.dns_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   tb.dev().os().force_stall();
   tb.simulator().run_for(sim::minutes(2));
   const auto& st = tb.dev().os().stats();
@@ -170,7 +171,7 @@ TEST(AndroidSystem, SequentialRetryEscalatesInOrder) {
 TEST(AndroidSystem, RetryAbortsOnceHealthy) {
   Testbed tb(111, Scheme::kLegacy);
   tb.bring_up();
-  tb.core().make_sessions_stale();
+  tb.core().make_sessions_stale(tb.dev().ue_id());
   tb.dev().os().force_stall();
   tb.simulator().run_for(sim::minutes(3));
   const auto& st = tb.dev().os().stats();
@@ -202,7 +203,7 @@ TEST(TrafficSystem, StatsWindowsTrackOutcomes) {
 
   corenet::TrafficPolicy p;
   p.tcp_blocked = true;
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   for (int i = 0; i < 12; ++i) {
     traffic.attempt_tcp(nas::Ipv4{{1, 2, 3, 4}}, 443, [](bool ok) {
       EXPECT_FALSE(ok);
@@ -233,7 +234,7 @@ TEST(TrafficSystem, BlockedPortOnlyAffectsThatPort) {
   tb.bring_up();
   corenet::TrafficPolicy p;
   p.blocked_ports.insert(8080);
-  tb.core().set_effective_policy(p);
+  tb.core().set_effective_policy(tb.dev().ue_id(), p);
   EXPECT_FALSE(tb.dev().traffic().path_allows(nas::IpProtocol::kTcp, 8080));
   EXPECT_TRUE(tb.dev().traffic().path_allows(nas::IpProtocol::kTcp, 443));
 }

@@ -14,7 +14,7 @@ TEST(Testbed, BringUpReachesHealthyService) {
   EXPECT_TRUE(tb.dev().modem().registered());
   EXPECT_TRUE(tb.dev().modem().data_connected());
   EXPECT_TRUE(tb.dev().traffic().path_healthy());
-  EXPECT_TRUE(tb.core().device_registered());
+  EXPECT_TRUE(tb.core().device_registered(tb.dev().ue_id()));
   EXPECT_GE(tb.core().stats().auth_vectors, 1u);
 }
 

@@ -53,8 +53,10 @@ TEST(Dataset, EveryOutcomeMessageDecodes) {
   GeneratorOptions opts;
   opts.procedures = 3000;
   const Dataset ds = generate_dataset(rng, opts);
+  nas::DecodeError err;
   for (const auto& rec : ds.records) {
-    EXPECT_TRUE(nas::decode_message(rec.outcome_message).has_value());
+    EXPECT_TRUE(nas::decode_message(rec.outcome_message, &err).has_value())
+        << nas::decode_error_name(err);
   }
   EXPECT_EQ(analyze(ds).undecodable, 0u);
 }
@@ -119,14 +121,14 @@ TEST(Dataset, AnalyzeCountsOnlyRejectsAsFailures) {
   ProcedureRecord ok;
   ok.failed = false;
   nas::RegistrationAccept acc;
-  ok.outcome_message = nas::encode_message(nas::NasMessage(acc));
+  nas::encode_message_into(nas::NasMessage(acc), ok.outcome_message);
   ds.records.push_back(ok);
 
   ProcedureRecord bad;
   bad.failed = true;
   nas::RegistrationReject rej;
   rej.cause = 9;
-  bad.outcome_message = nas::encode_message(nas::NasMessage(rej));
+  nas::encode_message_into(nas::NasMessage(rej), bad.outcome_message);
   ds.records.push_back(bad);
 
   const AnalysisResult res = analyze(ds);
