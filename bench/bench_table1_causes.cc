@@ -12,8 +12,7 @@ int main() {
   constexpr std::uint64_t kSeed = 20220822;
   sim::Rng rng(kSeed);
 
-  trace::GeneratorOptions opts;
-  trace::Dataset ds = trace::generate_dataset(rng, opts);
+  trace::Dataset ds = trace::generate_dataset(rng);
 
   // Round-trip through the on-disk format, as the real pipeline would.
   const Bytes blob = ds.serialize();

@@ -16,11 +16,11 @@
 int main(int argc, char** argv) {
   using namespace seed;
 
-  trace::GeneratorOptions opts;
-  if (argc > 1) opts.procedures = static_cast<std::size_t>(std::atol(argv[1]));
+  const std::size_t procedures =
+      argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 24000;
 
   sim::Rng rng(0x5eed);
-  const trace::Dataset ds = trace::generate_dataset(rng, opts);
+  const trace::Dataset ds = trace::generate_dataset(rng, procedures);
 
   // Persist and reload, as the real collection pipeline would.
   const std::string path = "/tmp/seed_trace.bin";

@@ -22,36 +22,34 @@ void AndroidOs::start() {
 
 void AndroidOs::evaluate() {
   if (!probing_) return;
-  if (detection_enabled_) {
-    // Captive-portal probe: HTTPS fetch of the check URL. The portal
-    // host's address is cached, so a broken resolver does NOT fail the
-    // probe — DNS failures are only caught by the consecutive-timeout
-    // rule below, fed by (sparse, cache-missing) app lookups. This is
-    // what makes Android's DNS/UDP detection minutes-slow (Fig. 3).
-    traffic_.attempt_tcp(nas::Ipv4{{142, 250, 0, 1}}, 80,
-                         [this](bool portal_ok) {
-      const bool tcp_bad =
-          traffic_.tcp_fail_rate(params::kTcpStatsWindow) >=
-              params::kTcpFailRateThreshold &&
-          traffic_.tcp_outbound(params::kTcpStatsWindow) > 3;
-      const bool tcp_quiet =
-          traffic_.tcp_outbound(params::kTcpStatsWindow) >=
-              params::kTcpOutboundThreshold &&
-          traffic_.tcp_inbound(params::kTcpStatsWindow) == 0;
-      const bool dns_bad =
-          traffic_.consecutive_dns_timeouts(params::kDnsWindow) >=
-          params::kDnsTimeoutThreshold;
-      const bool bad = !portal_ok || tcp_bad || tcp_quiet || dns_bad;
-      if (bad) {
-        // Two consecutive bad evaluations before declaring a stall —
-        // Android's confirmation re-probe behaviour.
-        if (++bad_evaluations_ >= 2 && !stall_active_) on_stall();
-      } else {
-        bad_evaluations_ = 0;
-        stall_active_ = false;
-      }
-    });
-  }
+  // Captive-portal probe: HTTPS fetch of the check URL. The portal
+  // host's address is cached, so a broken resolver does NOT fail the
+  // probe — DNS failures are only caught by the consecutive-timeout
+  // rule below, fed by (sparse, cache-missing) app lookups. This is
+  // what makes Android's DNS/UDP detection minutes-slow (Fig. 3).
+  traffic_.attempt_tcp(nas::Ipv4{{142, 250, 0, 1}}, 80,
+                       [this](bool portal_ok) {
+    const bool tcp_bad =
+        traffic_.tcp_fail_rate(params::kTcpStatsWindow) >=
+            params::kTcpFailRateThreshold &&
+        traffic_.tcp_outbound(params::kTcpStatsWindow) > 3;
+    const bool tcp_quiet =
+        traffic_.tcp_outbound(params::kTcpStatsWindow) >=
+            params::kTcpOutboundThreshold &&
+        traffic_.tcp_inbound(params::kTcpStatsWindow) == 0;
+    const bool dns_bad =
+        traffic_.consecutive_dns_timeouts(params::kDnsWindow) >=
+        params::kDnsTimeoutThreshold;
+    const bool bad = !portal_ok || tcp_bad || tcp_quiet || dns_bad;
+    if (bad) {
+      // Two consecutive bad evaluations before declaring a stall —
+      // Android's confirmation re-probe behaviour.
+      if (++bad_evaluations_ >= 2 && !stall_active_) on_stall();
+    } else {
+      bad_evaluations_ = 0;
+      stall_active_ = false;
+    }
+  });
   sim_.schedule_after(
       sim::secs_f(sim::to_seconds(params::kPortalProbePeriod) / 2 *
                   rng_.uniform(0.9, 1.1)),

@@ -27,7 +27,6 @@ enum class RetryTimers : std::uint8_t { kDefault, kRecommended };
 
 struct AndroidStats {
   std::uint64_t stalls_detected = 0;
-  std::uint64_t false_positives = 0;  // filled by tests/benches
   std::uint64_t retries_tcp_restart = 0;
   std::uint64_t retries_reregister = 0;
   std::uint64_t retries_modem_restart = 0;
@@ -45,7 +44,6 @@ class AndroidOs {
   /// measures recovery, not detection — detection latency is Fig. 3).
   void force_stall() { on_stall(); }
 
-  void set_detection_enabled(bool on) { detection_enabled_ = on; }
   /// Legacy sequential retry on/off (off when SEED handles recovery).
   void set_sequential_retry_enabled(bool on) { retry_enabled_ = on; }
   void set_retry_timers(RetryTimers t) { timers_ = t; }
@@ -70,7 +68,6 @@ class AndroidOs {
   transport::TrafficEngine& traffic_;
   modem::Modem& modem_;
 
-  bool detection_enabled_ = true;
   bool retry_enabled_ = true;
   RetryTimers timers_ = RetryTimers::kDefault;
   std::function<void()> stall_handler_;

@@ -52,7 +52,6 @@ class App {
   }
 
   const AppSpec& spec() const { return spec_; }
-  sim::TimePoint last_success() const { return last_success_; }
   std::uint64_t successes() const { return successes_; }
   std::uint64_t failures() const { return failures_; }
 

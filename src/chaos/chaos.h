@@ -23,7 +23,6 @@
 
 #include "common/bytes.h"
 #include "simcore/rng.h"
-#include "simcore/time.h"
 
 namespace seed::chaos {
 
@@ -41,7 +40,6 @@ struct ChaosConfig {
   // ----- reset-action execution (AT+CFUN / CGATT / CGACT, B-tier)
   double at_fail = 0.0;           // command returns ERROR
   double at_timeout = 0.0;        // command never completes
-  sim::Duration at_fail_latency = sim::ms(300);
 
   /// Per-action failure override, indexed by the proto::ResetAction code
   /// (1..6 = A1,A2,A3,B1,B2,B3). Takes precedence over at_fail /
@@ -51,10 +49,6 @@ struct ChaosConfig {
 
   // ----- SIM applet
   double applet_crash = 0.0;      // crash while handling a diagnosis
-  sim::Duration applet_restart_time = sim::seconds(2);
-  /// Crashes before the applet is declared dead (device degrades to
-  /// legacy handling).
-  int applet_max_crashes = 3;
 
   // ----- semantic (protocol-aware) adversarial injection
   // Field-aware mutations in the 5Greplay style: instead of flipping a

@@ -183,7 +183,6 @@ class CoreNetwork {
   /// Breaks the carrier LDNS (delivery failure class DNS) — carrier-wide,
   /// every attached UE resolves through the same LDNS.
   void set_dns_up(bool up) { dns_up_ = up; }
-  bool dns_up() const { return dns_up_; }
   /// Installs an erroneous traffic policy (delivery failure class
   /// TCP/UDP blocking); the intended policy stays in the SubscriberDb.
   void set_effective_policy(UeId ue, const TrafficPolicy& p);

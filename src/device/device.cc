@@ -7,6 +7,14 @@
 
 namespace seed::device {
 
+namespace {
+// Recovery watchdog: first deadline, growth per refire, refires before
+// degrading to legacy handling.
+constexpr sim::Duration kWatchdogDeadline = sim::seconds(45);
+constexpr double kWatchdogFactor = 1.5;
+constexpr int kWatchdogMaxRefires = 4;
+}  // namespace
+
 std::string_view scheme_name(Scheme s) {
   switch (s) {
     case Scheme::kLegacy: return "Legacy";
@@ -77,7 +85,7 @@ Device::Device(sim::Simulator& sim, sim::Rng& rng, ran::Gnb& gnb,
     }
   });
 
-  android_->set_retry_timers(options.retry_timers);
+  android_->set_retry_timers(android::RetryTimers::kRecommended);
   if (options.scheme == Scheme::kLegacy) {
     android_->set_sequential_retry_enabled(true);
   } else {
@@ -99,15 +107,16 @@ void Device::power_on() {
   android_->start();
 }
 
-void Device::enable_recovery_watchdog(const WatchdogConfig& cfg) {
-  watchdog_cfg_ = cfg;
+void Device::set_chaos(chaos::ChaosEngine& chaos) {
+  modem_->set_chaos(&chaos);
+  applet_->set_chaos(&chaos);
   if (!watchdog_) watchdog_ = std::make_unique<sim::Timer>(sim_);
   applet_->set_death_notifier([this] { degrade_to_legacy(); });
 }
 
 void Device::arm_watchdog() {
-  if (!watchdog_cfg_ || degraded_ || watchdog_->armed()) return;
-  watchdog_->arm(watchdog_cfg_->deadline, [this] { on_watchdog(); });
+  if (!watchdog_ || degraded_ || watchdog_->armed()) return;
+  watchdog_->arm(kWatchdogDeadline, [this] { on_watchdog(); });
 }
 
 void Device::on_watchdog() {
@@ -119,7 +128,7 @@ void Device::on_watchdog() {
                         << watchdog_refires_ << ")";
   obs::emit_watchdog_fired(static_cast<std::uint8_t>(watchdog_refires_));
   obs::count("seed.watchdog_fired");
-  if (applet_->dead() || watchdog_refires_ >= watchdog_cfg_->max_refires) {
+  if (applet_->dead() || watchdog_refires_ >= kWatchdogMaxRefires) {
     degrade_to_legacy();
     return;
   }
@@ -127,9 +136,9 @@ void Device::on_watchdog() {
   // Re-announce the stall: the SEED report path gets another shot with
   // whatever state the applet has now (fresh config, escalated tier...).
   carrier_->on_data_stall();
-  auto deadline = watchdog_cfg_->deadline;
+  auto deadline = kWatchdogDeadline;
   for (int i = 0; i < watchdog_refires_; ++i) {
-    deadline = sim::secs_f(sim::to_seconds(deadline) * watchdog_cfg_->factor);
+    deadline = sim::secs_f(sim::to_seconds(deadline) * kWatchdogFactor);
   }
   watchdog_->arm(deadline, [this] { on_watchdog(); });
 }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,10 @@
 #include "simcore/simulator.h"
 #include "transport/traffic.h"
 
+namespace seed::chaos {
+class ChaosEngine;
+}  // namespace seed::chaos
+
 namespace seed::device {
 
 /// Failure-handling scheme under test (paper Table 4/5 columns).
@@ -31,7 +34,6 @@ struct DeviceOptions {
   crypto::Key128 k{};
   crypto::Key128 opc{};
   crypto::Key128 seed_key{};
-  android::RetryTimers retry_timers = android::RetryTimers::kRecommended;
 };
 
 class Device {
@@ -53,28 +55,20 @@ class Device {
   /// Adds and starts an app; SEED schemes wire its report sink to the
   /// carrier app automatically.
   apps::App& add_app(const apps::AppSpec& spec);
-  const std::vector<std::unique_ptr<apps::App>>& app_list() const {
-    return apps_;
-  }
 
   Scheme scheme() const { return options_.scheme; }
   /// This device's index on the core it attached to.
   corenet::UeId ue_id() const { return ue_id_; }
   std::uint64_t user_notifications() const { return user_notifications_; }
 
-  /// Recovery watchdog (chaos hardening): when a handled failure has not
-  /// reached service-healthy by the deadline, the failure is re-announced
-  /// to the SIM; the deadline grows by `factor` per refire. After
-  /// `max_refires` — or when the applet is declared dead — the device
-  /// degrades to Android's legacy sequential retry so an impaired SEED
-  /// path can never leave the device wedged.
-  struct WatchdogConfig {
-    sim::Duration deadline = sim::seconds(45);
-    double factor = 1.5;
-    int max_refires = 4;
-  };
-  void enable_recovery_watchdog(const WatchdogConfig& cfg);
-  void enable_recovery_watchdog() { enable_recovery_watchdog(WatchdogConfig{}); }
+  /// Attaches a chaos engine to the modem and the applet (which hardens
+  /// the applet, see SeedApplet::hardened) and arms the recovery
+  /// watchdog: when a handled failure has not reached service-healthy
+  /// within 45 s, the failure is re-announced to the SIM; the deadline
+  /// grows ×1.5 per refire. After 4 refires — or when the applet is
+  /// declared dead — the device degrades to Android's legacy sequential
+  /// retry so an impaired SEED path can never leave the device wedged.
+  void set_chaos(chaos::ChaosEngine& chaos);
   bool degraded_to_legacy() const { return degraded_; }
   int watchdog_refires() const { return watchdog_refires_; }
 
@@ -101,9 +95,8 @@ class Device {
   std::unique_ptr<metrics::EnergyMeter> battery_;
   std::vector<std::unique_ptr<apps::App>> apps_;
   std::uint64_t user_notifications_ = 0;
-  // Recovery watchdog (only allocated/armed when enabled, so unhardened
-  // devices keep the event loop untouched).
-  std::optional<WatchdogConfig> watchdog_cfg_;
+  // Recovery watchdog (only allocated by set_chaos, so unimpaired devices
+  // keep the event loop untouched).
   std::unique_ptr<sim::Timer> watchdog_;
   int watchdog_refires_ = 0;
   bool degraded_ = false;

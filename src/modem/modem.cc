@@ -18,6 +18,9 @@ using nas::SmCause;
 namespace {
 std::uint8_t mm_code(MmCause c) { return static_cast<std::uint8_t>(c); }
 
+// Round trip of a chaos-failed AT reset command before it returns ERROR.
+constexpr sim::Duration kAtFailLatency = sim::ms(300);
+
 // Counts a reset action and, when tracing is on, wraps its completion so
 // the tracer sees the issue/complete pair. With the tracer off the
 // original callback is returned untouched — no std::function rebuild on
@@ -219,7 +222,6 @@ void Modem::on_registration_timeout() {
   if (mm_ != MmState::kRegistering) return;
   mm_ = MmState::kIdle;
   registration_settled(false);  // waiters fail fast; auto-retry continues
-  if (!behavior_.auto_retry) return;
   ++reg_attempts_;
   if (reg_attempts_ < params::kMaxRegistrationAttempts) {
     t3511_.arm(params::kT3511, [this] { start_registration(false, false); });
@@ -244,9 +246,7 @@ void Modem::handle_registration_reject(const nas::RegistrationReject& m) {
     obs::count(obs::label_series("seed.reject.cplane", "cause",
                                  std::to_string(int(m.cause))));
   }
-  if (on_reject_) on_reject_(nas::Plane::kControl, m.cause);
   registration_settled(false);  // waiters fail fast; auto-retry continues
-  if (!behavior_.auto_retry) return;
 
   // Permanent causes: the modem stops by itself; only user action helps.
   if (m.cause == mm_code(MmCause::kIllegalUe) ||
@@ -428,8 +428,7 @@ void Modem::send_pdu_request(std::uint8_t psi) {
       if (it == sessions_.end() || it->second.state != SmState::kActivating) {
         return;
       }
-      if (!behavior_.auto_retry ||
-          ++it->second.attempts >= params::kMaxPduAttempts) {
+      if (++it->second.attempts >= params::kMaxPduAttempts) {
         auto done = std::move(it->second.done);
         sessions_.erase(it);
         if (done) done(false, 0);
@@ -488,9 +487,8 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
     obs::count(obs::label_series("seed.reject.dplane", "cause",
                                  std::to_string(int(m.cause))));
   }
-  if (on_reject_) on_reject_(nas::Plane::kData, m.cause);
 
-  if (psi != kDataPsi || !behavior_.auto_retry) {
+  if (psi != kDataPsi) {
     auto done = std::move(it->second.done);
     sessions_.erase(it);
     notify_data_state();
@@ -512,15 +510,7 @@ void Modem::handle_pdu_reject(const nas::PduSessionEstablishmentReject& m) {
   const auto backoff = m.backoff_seconds ? sim::seconds(*m.backoff_seconds)
                                          : params::kT3580;
   it->second.state = SmState::kActivating;
-  t3580_.arm(backoff, [this, psi] {
-    if (!behavior_.sticky_config_on_pdu_reject) {
-      // Ablation: re-read the (possibly fixed) SIM config before retrying.
-      dnn_ = sim_card_.profile().dnn;
-      auto it = sessions_.find(psi);
-      if (it != sessions_.end()) it->second.dnn = dnn_;
-    }
-    send_pdu_request(psi);
-  });
+  t3580_.arm(backoff, [this, psi] { send_pdu_request(psi); });
 }
 
 void Modem::release_session(std::uint8_t psi, std::function<void()> done) {
@@ -586,10 +576,6 @@ void Modem::on_downlink(BytesView wire) {
         } else if constexpr (std::is_same_v<T, nas::AuthenticationReject>) {
           t3510_.cancel();
           mm_ = MmState::kIdle;
-          if (on_reject_) {
-            on_reject_(nas::Plane::kControl,
-                       mm_code(MmCause::kIllegalUe));
-          }
           registration_settled(false);
         } else if constexpr (std::is_same_v<
                                  T, nas::PduSessionEstablishmentAccept>) {
@@ -613,7 +599,6 @@ void Modem::on_downlink(BytesView wire) {
         } else if constexpr (std::is_same_v<
                                  T, nas::PduSessionModificationCommand>) {
           if (m.dns_addr) dns_addr_ = *m.dns_addr;
-          if (on_modification_) on_modification_();
         } else if constexpr (std::is_same_v<T, nas::ServiceAccept> ||
                              std::is_same_v<T, nas::ServiceReject> ||
                              std::is_same_v<T,
@@ -636,7 +621,7 @@ bool Modem::chaos_intercept(std::uint8_t action, Done& done) {
       // modem state untouched.
       SLOG(kDebug, "modem") << "chaos: reset action " << int(action)
                             << " returns ERROR";
-      sim_.schedule_after(chaos_->config().at_fail_latency,
+      sim_.schedule_after(kAtFailLatency,
                           [done = std::move(done)] {
                             if (done) done(false);
                           });

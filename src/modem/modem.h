@@ -39,11 +39,6 @@ struct ModemBehavior {
   /// Paper §3.2: the modem keeps retrying with the outdated GUTI after
   /// cause #9 instead of falling back to SUCI until attempts exhaust.
   bool sticky_identity_on_cause9 = true;
-  /// Paper §3.2: data-plane retries reuse the outdated configuration.
-  bool sticky_config_on_pdu_reject = true;
-  /// Automatic timer-driven retries (the modem-based scheme). Always on
-  /// in practice; SEED runs alongside it.
-  bool auto_retry = true;
 };
 
 struct ModemStats {
@@ -86,7 +81,6 @@ class Modem : public ModemControl {
 
   bool registered() const { return mm_ == MmState::kRegistered; }
   bool data_connected() const { return sm(kDataPsi) == SmState::kActive; }
-  MmState mm_state() const { return mm_; }
   const nas::Ipv4& ue_addr() const { return ue_addr_; }
   const nas::Ipv4& dns_addr() const { return dns_addr_; }
   std::uint64_t session_generation() const { return session_generation_; }
@@ -94,17 +88,6 @@ class Modem : public ModemControl {
   /// Fires on every data-connectivity change.
   void set_data_state_handler(std::function<void(bool)> fn) {
     on_data_state_ = std::move(fn);
-  }
-  /// Fires on every reject the modem receives (plane, cause) — the signal
-  /// tests and the device observe.
-  void set_reject_observer(
-      std::function<void(nas::Plane, std::uint8_t)> fn) {
-    on_reject_ = std::move(fn);
-  }
-  /// Fires when the network pushes a PDU Session Modification Command
-  /// (e.g. SEED's backup-DNS fix).
-  void set_modification_observer(std::function<void()> fn) {
-    on_modification_ = std::move(fn);
   }
   /// Chaos fault injection (testbed-only); with no engine attached every
   /// path below is byte-identical to the unimpaired modem.
@@ -214,8 +197,6 @@ class Modem : public ModemControl {
   ModemBehavior behavior_;
   ModemStats stats_;
   std::function<void(bool)> on_data_state_;
-  std::function<void(nas::Plane, std::uint8_t)> on_reject_;
-  std::function<void()> on_modification_;
   bool last_notified_state_ = false;
 
   // diag report plumbing

@@ -322,16 +322,14 @@ void HealthEngine::transition(SloState& s, AlertState to, std::int64_t at_us,
                 "slo=%s state=%s value=%.6g burn=%.6g/%.6g",
                 s.spec.id.c_str(), std::string(alert_state_name(to)).c_str(),
                 value, burn_short, burn_long);
-  if (config_.emit_trace_events) {
-    Tracer& t = Tracer::instance();
-    if (t.enabled()) {
-      Event e;
-      e.kind = EventKind::kSloAlert;
-      e.origin = Origin::kTestbed;
-      e.ok = to != AlertState::kFiring;
-      e.detail = detail.data();
-      t.record_now(std::move(e));
-    }
+  // kSloAlert on each transition, when the tracer records.
+  if (Tracer& t = Tracer::instance(); t.enabled()) {
+    Event e;
+    e.kind = EventKind::kSloAlert;
+    e.origin = Origin::kTestbed;
+    e.ok = to != AlertState::kFiring;
+    e.detail = detail.data();
+    t.record_now(std::move(e));
   }
   if (config_.emit_slog) {
     SLOG(kInfo, "health") << detail.data();

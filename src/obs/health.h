@@ -92,8 +92,7 @@ struct HealthConfig {
   int long_window_steps = 5;            // long window = 5 steps
   int fire_after = 2;    // consecutive burning evals: pending -> firing
   int resolve_after = 2; // consecutive clean evals: firing -> resolved
-  bool emit_trace_events = true;  // kSloAlert on each transition
-  bool emit_slog = true;          // SLOG(kInfo, "health") on each transition
+  bool emit_slog = true;  // SLOG(kInfo, "health") on each transition
   std::vector<SloSpec> slos;
 
   /// The stock SLO set used by bench_city_storm: per-plane failure-rate

@@ -32,35 +32,6 @@ constexpr std::array<std::string_view, 6> kOriginNames = {
     "none", "sim", "infra", "os", "modem", "testbed",
 };
 
-// JSON string escaping for the detail field (the rest of the record is
-// numeric or from fixed name tables). Details can carry *arbitrary*
-// bytes — DIAG-DNN payload fragments, corrupted-by-chaos labels — so
-// every byte outside printable ASCII is emitted as \u00xx (the byte
-// value, latin-1 style). That keeps the output pure ASCII, valid JSON,
-// and exactly byte-round-trippable through import_jsonl; interpreting
-// multi-byte encodings is deliberately the reader's problem.
-void write_escaped(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default: {
-        const auto b = static_cast<unsigned char>(c);
-        if (b < 0x20 || b >= 0x7f) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", b);
-          os << buf.data();
-        } else {
-          os << c;
-        }
-      }
-    }
-  }
-}
-
 int hex_nibble(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -132,6 +103,28 @@ std::optional<std::string> str_field(std::string_view line,
 
 }  // namespace
 
+void write_escaped(std::ostream& os, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default: {
+        const auto b = static_cast<unsigned char>(c);
+        if (b < 0x20 || b >= 0x7f) {
+          std::array<char, 8> buf{};
+          std::snprintf(buf.data(), buf.size(), "\\u%04x", b);
+          os << buf.data();
+        } else {
+          os << c;
+        }
+      }
+    }
+  }
+}
+
 std::string_view event_kind_name(EventKind k) {
   const auto i = static_cast<std::size_t>(k);
   return i < kKindNames.size() ? kKindNames[i] : "unknown";
@@ -198,14 +191,11 @@ struct Tracer::RetentionState {
   bool is_trigger(const Event& e) const {
     switch (e.kind) {
       case EventKind::kTerminalFailure:
-        if (policy.on_terminal_failure) return true;
-        break;
+      case EventKind::kPeerQuarantined:
+        return true;
       case EventKind::kSloAlert:
         // `ok` encodes "not firing": a breach is the firing transition.
-        if (policy.on_slo_breach && !e.ok) return true;
-        break;
-      case EventKind::kPeerQuarantined:
-        if (policy.on_quarantine) return true;
+        if (!e.ok) return true;
         break;
       default:
         break;

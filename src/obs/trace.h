@@ -205,15 +205,14 @@ struct ImportStats {
 };
 
 /// Tail-based retention policy: what promotes a UE's buffered ring to
-/// the durable capture. All triggers are deterministic functions of the
-/// event stream, so sampled captures merge byte-identically regardless
-/// of worker count.
+/// the durable capture. A kTerminalFailure, a kPeerQuarantined and a
+/// kSloAlert entering firing (ok==false) always promote; `trigger` can
+/// add more. All triggers are deterministic functions of the event
+/// stream, so sampled captures merge byte-identically regardless of
+/// worker count.
 struct RetentionPolicy {
   /// Per-UE ring depth: how much pre-trigger history survives promotion.
   std::size_t ring_depth = 32;
-  bool on_terminal_failure = true;  // kTerminalFailure
-  bool on_slo_breach = true;        // kSloAlert entering firing (ok==false)
-  bool on_quarantine = true;        // kPeerQuarantined
   /// Optional extra trigger supplied by a higher layer (obs sits below
   /// seed/eval, so e.g. the verdict!=label predicate arrives as a pure
   /// function of the event — see core::verdict_mismatch).
@@ -398,6 +397,16 @@ class Tracer {
 /// Serializes one event as a single JSONL record (the unit
 /// Tracer::export_jsonl and the flight recorder's blackbox share).
 void export_event_jsonl(std::ostream& os, const Event& e);
+
+/// JSON string escaping for the event detail and the blackbox reason
+/// (the rest of a record is numeric or from fixed name tables). Details
+/// can carry *arbitrary* bytes — DIAG-DNN payload fragments, labels the
+/// chaos layer corrupted — so every byte outside printable ASCII is
+/// emitted as \u00xx (the byte value, latin-1 style). That keeps the
+/// output pure ASCII, valid JSON, and exactly byte-round-trippable
+/// through import_jsonl; interpreting multi-byte encodings is
+/// deliberately the reader's problem.
+void write_escaped(std::ostream& os, std::string_view s);
 
 inline bool enabled() { return Tracer::instance().enabled(); }
 

@@ -43,7 +43,6 @@ bool Gnb::release_bearer(std::uint8_t psi) {
     // Last-bearer rule: the gNB tears down RRC and the UE context.
     SLOG(kDebug, "gnb") << "last bearer released, tearing down RRC";
     rrc_connected_ = false;
-    if (on_context_released_) on_context_released_();
     return true;
   }
   return false;

@@ -28,21 +28,13 @@ class Gnb {
   /// Immediate release (UE detach or inactivity).
   void rrc_release();
 
-  bool rrc_connected() const { return rrc_connected_; }
-
   /// Radio-bearer bookkeeping, driven by the core on session accept/release.
   void add_bearer(std::uint8_t psi);
   /// Returns true when this release was the last bearer (RRC + UE context
-  /// released as a side effect; `on_context_released` fires).
+  /// released as a side effect).
   bool release_bearer(std::uint8_t psi);
 
   std::size_t bearer_count() const { return bearers_.size(); }
-  bool has_bearer(std::uint8_t psi) const { return bearers_.contains(psi); }
-
-  /// Fired when the last-bearer rule tears down the UE context.
-  void set_context_released_handler(std::function<void()> fn) {
-    on_context_released_ = std::move(fn);
-  }
 
   /// Simulates radio outage (SEED does not handle radio-link failures
   /// directly, §4.3.2/§9 — this exists so tests can show the collaboration
@@ -59,7 +51,6 @@ class Gnb {
   bool rrc_connected_ = false;
   bool radio_up_ = true;
   std::set<std::uint8_t> bearers_;
-  std::function<void()> on_context_released_;
 };
 
 }  // namespace seed::ran

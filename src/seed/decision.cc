@@ -175,10 +175,10 @@ std::vector<ResetAction> learning_trial_order(DeviceMode mode) {
           ResetAction::kA2CPlaneConfigUpdate, ResetAction::kA1ProfileReload};
 }
 
-sim::Duration backoff_delay(const RetryPolicy& policy, int attempt) {
-  double d = sim::to_seconds(policy.backoff_initial);
-  for (int i = 1; i < attempt; ++i) d *= policy.backoff_factor;
-  const double cap = sim::to_seconds(policy.backoff_cap);
+sim::Duration backoff_delay(int attempt) {
+  double d = sim::to_seconds(kBackoffInitial);
+  for (int i = 1; i < attempt; ++i) d *= kBackoffFactor;
+  const double cap = sim::to_seconds(kBackoffCap);
   return sim::secs_f(d < cap ? d : cap);
 }
 

@@ -60,49 +60,27 @@ HandlingPlan decide_for_report(const proto::FailureReport& report,
 /// filtered to the actions available in `mode`.
 std::vector<proto::ResetAction> learning_trial_order(DeviceMode mode);
 
-/// How the decision module reacts when a reset action fails (chaos-layer
-/// hardening). The defaults reproduce the original behaviour exactly —
-/// one attempt per action, no deadline, no escalation beyond the plan —
-/// so unhardened runs stay byte-identical; Testbed::enable_chaos()
-/// switches the applet to hardened().
-struct RetryPolicy {
-  /// Attempts per action before moving to the next Table 3 rung.
-  int max_attempts_per_action = 1;
-  /// Exponential backoff between attempts of the same action:
-  /// backoff_initial * backoff_factor^(attempt-1), capped.
-  sim::Duration backoff_initial = sim::ms(500);
-  double backoff_factor = 2.0;
-  sim::Duration backoff_cap = sim::seconds(8);
-  /// Outstanding-action deadline; a command that neither completes nor
-  /// fails within it (AT timeout) is treated as failed. 0 disables.
-  sim::Duration action_deadline{0};
-  /// When the plan's actions are exhausted, continue down the Table 3
-  /// ladder (escalation_ladder) before giving up.
-  bool escalate_beyond_plan = false;
-  /// Terminal fallback: surface a user notification once every rung
-  /// (plan + escalation ladder) has failed.
-  bool notify_user_on_exhaust = false;
-  /// A *failed* reset refunds its rate-limit charge so the follow-up
-  /// retry is not suppressed by the 5 s conflict window / per-action
-  /// rate-limit interaction. Off in legacy() only to keep unhardened
-  /// runs byte-identical to the original charge-at-issue behaviour.
-  bool refund_failed_actions = false;
+// Recovery hardening (chaos layer). The applet is hardened exactly when a
+// chaos engine is attached; it then retries a failed reset action with
+// exponential backoff, treats an action that outlives its deadline as
+// failed, walks the escalation_ladder once the plan is exhausted, notifies
+// the user past the last rung, and refunds a failed action's rate-limit
+// charge. Unhardened runs keep one attempt per action and none of these.
 
-  static RetryPolicy legacy() { return {}; }
-  static RetryPolicy hardened() {
-    RetryPolicy p;
-    p.max_attempts_per_action = 3;
-    p.action_deadline = sim::seconds(20);
-    p.escalate_beyond_plan = true;
-    p.notify_user_on_exhaust = true;
-    p.refund_failed_actions = true;
-    return p;
-  }
-};
+/// Attempts per action before moving to the next Table 3 rung.
+inline constexpr int kAttemptsPerAction = 3;
+/// Backoff between attempts of the same action:
+/// kBackoffInitial * kBackoffFactor^(attempt-1), capped at kBackoffCap.
+inline constexpr sim::Duration kBackoffInitial = sim::ms(500);
+inline constexpr double kBackoffFactor = 2.0;
+inline constexpr sim::Duration kBackoffCap = sim::seconds(8);
+/// An action that neither completes nor fails within this deadline (AT
+/// timeout) is treated as failed.
+inline constexpr sim::Duration kActionDeadline = sim::seconds(20);
 
 /// Attempt is 1-based: the delay before attempt `attempt + 1` after
 /// attempt `attempt` failed.
-sim::Duration backoff_delay(const RetryPolicy& policy, int attempt);
+sim::Duration backoff_delay(int attempt);
 
 /// Tier escalation (chaos hardening): the Table-3-ordered actions that
 /// remain *after* `plan` failed — learning_trial_order(mode) minus the

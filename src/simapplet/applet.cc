@@ -17,6 +17,10 @@ constexpr std::uint8_t kSeedBearer = 7;
 // Emulated footprint of the applet code itself (the paper's applet is
 // 1244 lines of Java; Javacard bytecode ~30 KB installed).
 constexpr std::size_t kAppletCodeBytes = 30 * 1024;
+// Chaos: how long a crashed applet stays down, and the crashes after
+// which it is declared dead (the device degrades to legacy handling).
+constexpr sim::Duration kAppletRestartTime = sim::seconds(2);
+constexpr int kAppletMaxCrashes = 3;
 
 // A SIM-local delivery plan is a diagnosis in its own right (SEED-U, or
 // SEED-R degraded off the collab uplink): record what the SIM decided.
@@ -156,7 +160,7 @@ void SeedApplet::crash() {
   plan_in_flight_ = false;
   pending_dp_config_dnn_.reset();
   ++crash_count_;
-  if (crash_count_ >= chaos_->config().applet_max_crashes) {
+  if (crash_count_ >= kAppletMaxCrashes) {
     dead_ = true;
     SLOG(kWarn, "applet") << "applet dead after " << crash_count_
                           << " crashes";
@@ -165,10 +169,9 @@ void SeedApplet::crash() {
     if (on_dead_) on_dead_();
     return;
   }
-  down_until_ = sim_.now() + chaos_->config().applet_restart_time;
+  down_until_ = sim_.now() + kAppletRestartTime;
   SLOG(kWarn, "applet") << "applet crashed, restart in "
-                        << sim::to_ms(chaos_->config().applet_restart_time)
-                        << " ms";
+                        << sim::to_ms(kAppletRestartTime) << " ms";
 }
 
 std::size_t SeedApplet::storage_used_bytes() const {
@@ -297,7 +300,7 @@ void SeedApplet::charge_rate_limit(proto::ResetAction a) {
 
 void SeedApplet::refund_rate_limit(proto::ResetAction a,
                                    sim::TimePoint issued_at) {
-  if (!retry_policy_.refund_failed_actions) return;
+  if (!hardened()) return;
   // A failed reset must not consume rate-limit budget and suppress the
   // follow-up retry; erase the charge unless a newer issue of the same
   // action has overwritten it.
@@ -311,9 +314,9 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
                              std::size_t idx, int attempt, bool learning,
                              std::uint8_t cause, bool escalated) {
   if (idx >= actions.size()) {
-    // Plan exhausted. Hardened policy walks the rest of the Table 3
+    // Plan exhausted. A hardened applet walks the rest of the Table 3
     // ladder once, then falls back to the terminal rung: the user.
-    if (retry_policy_.escalate_beyond_plan && !escalated) {
+    if (hardened() && !escalated) {
       std::vector<proto::ResetAction> ladder =
           core::escalation_ladder(actions, mode_);
       if (!ladder.empty()) {
@@ -327,7 +330,7 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
         return;
       }
     }
-    if (retry_policy_.notify_user_on_exhaust) {
+    if (hardened()) {
       ++stats_.user_notifications;
       obs::emit_terminal_failure(obs::Origin::kSim,
                                  "recovery actions exhausted", 0, cause);
@@ -382,13 +385,13 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     }
     if (!ok) {
       refund_rate_limit(action, issued_at);
-      if (attempt < retry_policy_.max_attempts_per_action) {
+      if (hardened() && attempt < core::kAttemptsPerAction) {
         ++stats_.actions_retried;
         obs::emit_action_retry(static_cast<std::uint8_t>(action),
                                static_cast<std::uint8_t>(attempt + 1));
         obs::count("seed.action_retries");
         retry_timer_.arm(
-            core::backoff_delay(retry_policy_, attempt),
+            core::backoff_delay(attempt),
             [this, actions = std::move(actions), idx, attempt, learning,
              cause, escalated]() mutable {
               if (recovery_probe_ && recovery_probe_()) {
@@ -401,7 +404,7 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
             });
         return;
       }
-      if (retry_policy_.escalate_beyond_plan && idx + 1 < actions.size()) {
+      if (hardened() && idx + 1 < actions.size()) {
         ++stats_.tier_escalations;
         obs::emit_tier_escalated(
             static_cast<std::uint8_t>(actions[idx + 1]));
@@ -411,9 +414,9 @@ void SeedApplet::run_actions(std::vector<proto::ResetAction> actions,
     run_actions(std::move(actions), idx + 1, 1, learning, cause, escalated);
   };
 
-  if (retry_policy_.action_deadline.count() > 0) {
+  if (hardened()) {
     // AT-command hang guard: treat a command that never answers as failed.
-    action_deadline_.arm(retry_policy_.action_deadline,
+    action_deadline_.arm(core::kActionDeadline,
                          [complete]() mutable { complete(false); });
   }
   issue_action(action, std::move(complete));

@@ -87,24 +87,19 @@ class SeedApplet : public modem::SimCard {
   /// Chaos fault injection (testbed-only); with no engine attached the
   /// applet never crashes and every code path matches the seed behaviour.
   void set_chaos(chaos::ChaosEngine* chaos) { chaos_ = chaos; }
-  /// Retry/backoff/escalation behaviour for failed reset actions. The
-  /// default (RetryPolicy::legacy()) reproduces the original
-  /// one-attempt-per-action semantics exactly.
-  void set_retry_policy(const core::RetryPolicy& policy) {
-    retry_policy_ = policy;
-  }
-  const core::RetryPolicy& retry_policy() const { return retry_policy_; }
+  /// Recovery hardening (retries, action deadline, tier escalation, user
+  /// fallback, rate-limit refunds; constants in seed/decision.h) is on
+  /// exactly when a chaos engine is attached.
+  bool hardened() const { return chaos_ != nullptr; }
   /// Fired once when the applet is declared dead (crash budget exhausted);
   /// the device degrades to legacy handling.
   void set_death_notifier(std::function<void()> fn) {
     on_dead_ = std::move(fn);
   }
   bool dead() const { return dead_; }
-  bool collab_uplink_dead() const { return collab_uplink_dead_; }
 
   /// SEED on/off (off = plain legacy SIM for baselines).
   void enable_seed(bool on) { enabled_ = on; }
-  bool seed_enabled() const { return enabled_; }
 
   core::DeviceMode mode() const { return mode_; }
 
@@ -192,10 +187,9 @@ class SeedApplet : public modem::SimCard {
   std::vector<double> report_prep_ms_;
   std::vector<double> report_trans_ms_;
 
-  // ----- chaos hardening (inert under RetryPolicy::legacy() + no engine:
-  // the extra timers are only armed by retries/deadlines, so unimpaired
-  // runs keep the event loop byte-identical)
-  core::RetryPolicy retry_policy_;
+  // ----- chaos hardening (inert with no engine attached: the extra
+  // timers are only armed by retries/deadlines, so unimpaired runs keep
+  // the event loop byte-identical)
   chaos::ChaosEngine* chaos_ = nullptr;
   std::function<void()> on_dead_;
   bool dead_ = false;

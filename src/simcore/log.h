@@ -32,7 +32,6 @@ class Logger {
   const TimePoint* clock() const { return now_; }
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
-  bool has_sink() const { return static_cast<bool>(sink_); }
 
   bool enabled(LogLevel level) const { return level >= level_; }
 

@@ -20,6 +20,12 @@ constexpr std::uint32_t kOrdinalsPerShard = 4096;
 /// rejects it and note_malformed scores a strike.
 constexpr std::array<std::uint8_t, 3> kJunkFrame = {0x55, 0xaa, 0x01};
 
+/// run_pack pacing: recovery window between rounds (every cascade drains
+/// before the next round re-injects on the same UEs), and extra drain
+/// time after the last round.
+constexpr sim::Duration kPackSpacing = sim::seconds(45);
+constexpr sim::Duration kPackSettle = sim::seconds(90);
+
 }  // namespace
 
 LabeledScenarioGen::LabeledScenarioGen(MultiTestbed& bed, std::uint32_t shard)
@@ -110,7 +116,7 @@ std::uint32_t LabeledScenarioGen::inject(CauseFamily family,
       bed_.inject_cp(ue, CpFailure::kCustomUnknown);
       break;
     case CauseFamily::kAdversarialPoisoning:
-      // One forged frame per injection; pacing (PackOptions::spacing)
+      // One forged frame per injection; run_pack's round spacing
       // keeps the 3-strike quarantine's mute windows from swallowing a
       // later family's traffic — poisoning gets a dedicated UE anyway.
       bed_.core().on_uplink(ue, BytesView(kJunkFrame));
@@ -148,10 +154,6 @@ void LabeledScenarioGen::inject_type_mismatch(corenet::UeId ue) {
   });
 }
 
-std::vector<std::uint32_t> LabeledScenarioGen::run_pack() {
-  return run_pack(PackOptions{});
-}
-
 std::vector<std::uint32_t> LabeledScenarioGen::run_pack(
     const PackOptions& opts) {
   const std::vector<CauseFamily> families =
@@ -169,9 +171,9 @@ std::vector<std::uint32_t> LabeledScenarioGen::run_pack(
       labels.push_back(
           inject(families[i], static_cast<corenet::UeId>(i)));
     }
-    bed_.simulator().run_for(opts.spacing);
+    bed_.simulator().run_for(kPackSpacing);
   }
-  bed_.simulator().run_for(opts.settle);
+  bed_.simulator().run_for(kPackSettle);
   return labels;
 }
 

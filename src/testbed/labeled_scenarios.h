@@ -50,17 +50,13 @@ class LabeledScenarioGen {
     std::vector<core::CauseFamily> families;
     /// Labeled injections per family.
     std::size_t rounds = 2;
-    /// Recovery window between rounds (every cascade drains before the
-    /// next round re-injects on the same UEs).
-    sim::Duration spacing = sim::seconds(45);
-    /// Extra drain time after the last round.
-    sim::Duration settle = sim::seconds(90);
   };
 
-  /// Runs a full pack and returns the labels in injection order.
+  /// Runs a full pack and returns the labels in injection order: 45 s
+  /// between rounds (every cascade drains before the next round
+  /// re-injects on the same UEs), 90 s of extra drain after the last.
   /// Requires bed.ue_count() >= families.size().
   std::vector<std::uint32_t> run_pack(const PackOptions& opts);
-  std::vector<std::uint32_t> run_pack();  // defaults
 
   std::uint32_t next_ordinal() const { return next_ordinal_; }
 

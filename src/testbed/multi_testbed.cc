@@ -21,6 +21,12 @@ crypto::Key128 fleet_key(std::size_t i, std::uint8_t salt) {
   return k;
 }
 
+// Gap between consecutive device power-ons at bring-up; staggering keeps
+// the attach stampede from synchronizing every retry timer.
+constexpr sim::Duration kPowerOnStagger = sim::ms(20);
+// Share of sampled storm injections that are data-delivery failures.
+constexpr double kDeliveryFailureProb = 0.15;
+
 }  // namespace
 
 std::string MultiTestbed::supi_of(std::size_t i) {
@@ -91,7 +97,7 @@ void MultiTestbed::bring_up_all(sim::Duration deadline) {
     // Tag the power-on (and its entire attach cascade) with the UE index.
     sim::Simulator::TagScope tag(sim_, static_cast<std::uint32_t>(i) + 1);
     device::Device* dev = slots_[i].dev.get();
-    sim_.schedule_after(opts_.power_on_stagger * static_cast<int>(i),
+    sim_.schedule_after(kPowerOnStagger * static_cast<int>(i),
                         [dev] { dev->power_on(); });
   }
   const auto until = sim_.now() + deadline;
@@ -309,7 +315,7 @@ void MultiTestbed::inject_delivery(corenet::UeId ue, DeliveryFailure f) {
 }
 
 void MultiTestbed::inject_sampled(corenet::UeId ue) {
-  if (rng_.chance(opts_.delivery_failure_prob)) {
+  if (rng_.chance(kDeliveryFailureProb)) {
     // Delivery-failure slice of the storm: stale gateway state dominates,
     // erroneous traffic policies split the rest (Table 1's operational
     // data-delivery classes).

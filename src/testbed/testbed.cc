@@ -95,14 +95,11 @@ chaos::ChaosEngine& Testbed::enable_chaos(const chaos::ChaosConfig& config) {
   // never perturb the scenario's own randomness.
   chaos_ = std::make_unique<chaos::ChaosEngine>(
       config, sim::shard_seed(seed_, 0x5eedc4a0));
-  device_->modem().set_chaos(chaos_.get());
-  device_->applet().set_chaos(chaos_.get());
-  core_->set_chaos(chaos_.get());
-  // The hardening that copes with the impairments (and nothing else —
-  // an engine with an all-zero config plus this policy still recovers
+  // The device side also arms the hardening that copes with the
+  // impairments (and nothing else — an all-zero config still recovers
   // through the ordinary paths).
-  device_->applet().set_retry_policy(core::RetryPolicy::hardened());
-  device_->enable_recovery_watchdog();
+  device_->set_chaos(*chaos_);
+  core_->set_chaos(chaos_.get());
   return *chaos_;
 }
 

@@ -89,11 +89,10 @@ class Testbed {
   corenet::SubscriberDb& db() { return db_; }
   ran::Gnb& gnb() { return *gnb_; }
   device::Device& dev() { return *device_; }
-  metrics::CpuMeter& core_cpu() { return cpu_; }
 
-  /// Attaches a chaos engine impairing SEED's own recovery path and arms
-  /// the hardening that copes with it: hardened retry policy, recovery
-  /// watchdog, ack-guards on both collab directions. The engine's streams
+  /// Attaches a chaos engine impairing SEED's own recovery path, which
+  /// also arms the hardening that copes with it: applet retries and tier
+  /// escalation, recovery watchdog, ack-guards on both collab directions. The engine's streams
   /// are seeded from the testbed seed (sim::shard_seed), so a run is
   /// byte-reproducible per (seed, config).
   chaos::ChaosEngine& enable_chaos(const chaos::ChaosConfig& config);

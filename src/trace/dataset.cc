@@ -95,6 +95,13 @@ Bytes make_outcome(sim::Rng& rng, nas::Plane plane, bool failed,
   return wire;
 }
 
+// Corpus shape (paper §3.1): 2832/24000 ≈ 11.8% of procedures fail,
+// spread over 8 carriers and 32 device models, 2015-Q3 .. 2021-Q4.
+constexpr double kFailureRatio = 0.118;
+constexpr int kCarriers = 8;
+constexpr int kDeviceModels = 32;
+constexpr double kWindowDays = 2285;
+
 }  // namespace
 
 void ProcedureRecord::encode(Writer& w) const {
@@ -145,21 +152,21 @@ std::optional<Dataset> Dataset::deserialize(BytesView data) {
   return ds;
 }
 
-Dataset generate_dataset(sim::Rng& rng, const GeneratorOptions& options) {
+Dataset generate_dataset(sim::Rng& rng, std::size_t procedures) {
   std::vector<double> weights;
   for (const auto& m : mixture()) weights.push_back(m.weight);
 
   Dataset ds;
-  ds.records.reserve(options.procedures);
-  const double window_s = options.window_days * 86400.0;
-  for (std::size_t i = 0; i < options.procedures; ++i) {
+  ds.records.reserve(procedures);
+  const double window_s = kWindowDays * 86400.0;
+  for (std::size_t i = 0; i < procedures; ++i) {
     ProcedureRecord rec;
     rec.timestamp_s = rng.uniform(0.0, window_s);
-    rec.carrier = static_cast<std::uint8_t>(
-        rng.uniform_int(0, options.carriers - 1));
-    rec.device_model = static_cast<std::uint8_t>(
-        rng.uniform_int(0, options.device_models - 1));
-    rec.failed = rng.chance(options.failure_ratio);
+    rec.carrier =
+        static_cast<std::uint8_t>(rng.uniform_int(0, kCarriers - 1));
+    rec.device_model =
+        static_cast<std::uint8_t>(rng.uniform_int(0, kDeviceModels - 1));
+    rec.failed = rng.chance(kFailureRatio);
     if (rec.failed) {
       const auto& m = mixture()[rng.weighted_index(weights)];
       rec.plane = m.plane;

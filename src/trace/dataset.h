@@ -42,16 +42,9 @@ struct Dataset {
   static std::optional<Dataset> deserialize(BytesView data);
 };
 
-struct GeneratorOptions {
-  std::size_t procedures = 24000;   // paper: 24k procedures
-  double failure_ratio = 0.118;     // paper: 2832/24000 ≈ 11.8%
-  int carriers = 8;
-  int device_models = 32;
-  double window_days = 2285;        // 2015-Q3 .. 2021-Q4
-};
-
-/// Generates a dataset with the Table 1 cause mixture.
-Dataset generate_dataset(sim::Rng& rng, const GeneratorOptions& options = {});
+/// Generates a dataset of `procedures` records (paper: 24k) with the
+/// Table 1 cause mixture.
+Dataset generate_dataset(sim::Rng& rng, std::size_t procedures = 24000);
 
 struct CauseCount {
   nas::Plane plane;

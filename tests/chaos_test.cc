@@ -271,12 +271,13 @@ class FailingModemControl : public modem::ModemControl {
 
 class RefundFixture {
  public:
-  explicit RefundFixture(const core::RetryPolicy& policy)
+  /// A hardened applet has a (zero-config) chaos engine attached.
+  explicit RefundFixture(bool hardened)
       : rng_(42),
         applet_(sim_, rng_, modem::SimProfile{}, crypto::Key128{},
                 crypto::Key128{}, crypto::Key128{}) {
     applet_.set_modem_control(&control_);
-    applet_.set_retry_policy(policy);
+    if (hardened) applet_.set_chaos(&chaos_);
     applet_.set_recovery_probe([] { return false; });
     applet_.set_user_notifier([](std::string) {});
     // Move past the conflict window's initial guard value.
@@ -292,11 +293,13 @@ class RefundFixture {
   sim::Simulator sim_;
   sim::Rng rng_;
   FailingModemControl control_;
+  chaos::ChaosEngine chaos_{chaos::ChaosConfig{}, 42};
   applet::SeedApplet applet_;
 };
 
 TEST(ChaosRefund, FailedResetDoesNotConsumeRateLimitBudget) {
-  RefundFixture f(core::RetryPolicy::hardened());
+  RefundFixture f(/*hardened=*/true);
+  ASSERT_TRUE(f.applet_.hardened());
   // SEED-U delivery plan is [A3]; with everything failing the hardened
   // applet retries 3x, escalates through A2 and A1, then notifies.
   f.report();
@@ -318,7 +321,8 @@ TEST(ChaosRefund, FailedResetDoesNotConsumeRateLimitBudget) {
 }
 
 TEST(ChaosRefund, LegacyPolicyStillChargesFailedActions) {
-  RefundFixture f(core::RetryPolicy::legacy());
+  RefundFixture f(/*hardened=*/false);
+  ASSERT_FALSE(f.applet_.hardened());
   // Legacy semantics (the seed behaviour): one attempt, no refund.
   f.report();
   f.sim_.run_for(sim::seconds(15));
@@ -468,7 +472,7 @@ TEST(ChaosZero, NoEngineLeavesHardeningCountersUntouched) {
   EXPECT_FALSE(tb.dev().degraded_to_legacy());
   EXPECT_EQ(tb.dev().watchdog_refires(), 0);
   // Without enable_chaos the applet keeps the legacy one-attempt policy.
-  EXPECT_EQ(tb.dev().applet().retry_policy().max_attempts_per_action, 1);
+  EXPECT_FALSE(tb.dev().applet().hardened());
 }
 
 // ------------------------------------- peer quarantine (penalty box)
@@ -535,6 +539,7 @@ TEST(ChaosZero, ZeroConfigEngineInjectsNothingAndStillRecovers) {
   const Outcome out = tb.run_cp_failure(CpFailure::kOutdatedPlmn);
   ASSERT_TRUE(out.recovered);
   ASSERT_NE(tb.chaos(), nullptr);
+  EXPECT_TRUE(tb.dev().applet().hardened());
   EXPECT_EQ(tb.chaos()->stats().total(), 0u);
   EXPECT_EQ(tb.dev().applet().stats().applet_crashes, 0u);
 }

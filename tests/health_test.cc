@@ -44,7 +44,6 @@ HealthConfig rate_config() {
   c.long_window_steps = 5;
   c.fire_after = 2;
   c.resolve_after = 2;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"cp_rate", SloSignal::kFailureRate, SloStat::kRatePerMin,
                     0, 0, 0, 60.0, 0.1});
@@ -102,7 +101,6 @@ TEST(HealthEngine_, ShortBlipStaysPendingAndClears) {
 TEST(HealthEngine_, RecoveryLatencyAttributesPerTier) {
   HealthConfig c;
   c.window_us = 1'000'000;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"rec_all", SloSignal::kRecoveryLatency, SloStat::kP95, 0,
                     0, 0, 100.0, 0.1});
@@ -144,7 +142,6 @@ TEST(HealthEngine_, RecoveryAttributionFollowsUeNotSpan) {
   // engine must attribute the latency to UE 1's injection regardless.
   HealthConfig c;
   c.window_us = 1'000'000;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"rec", SloSignal::kRecoveryLatency, SloStat::kP95, 0, 0,
                     0, 30.0, 0.1});
@@ -173,7 +170,6 @@ TEST(HealthEngine_, CacheHitRateCountsMissesAgainstBudget) {
   HealthConfig c;
   c.window_us = 1'000'000;
   c.fire_after = 1;
-  c.emit_trace_events = false;
   c.emit_slog = false;
   c.slos.push_back({"cache", SloSignal::kCacheHitRate, SloStat::kMean, 0, 0,
                     0, 0.0, 0.5});
@@ -240,9 +236,7 @@ TEST(HealthEngine_, SloAlertEventsFeedBackIntoTheTrace) {
   t.reset_span_counter();
   t.set_clock(&now);
   t.enable(true);
-  HealthConfig c = rate_config();
-  c.emit_trace_events = true;
-  HealthEngine engine(c);
+  HealthEngine engine(rate_config());
   t.add_observer(&engine);
   for (int s = 0; s < 3; ++s) {
     for (int i = 0; i < 5; ++i) {

@@ -9,15 +9,13 @@ namespace {
 
 TEST(Dataset, GeneratorHitsRequestedScale) {
   sim::Rng rng(1);
-  GeneratorOptions opts;
-  opts.procedures = 5000;
-  const Dataset ds = generate_dataset(rng, opts);
+  const Dataset ds = generate_dataset(rng, 5000);
   EXPECT_EQ(ds.records.size(), 5000u);
 }
 
 TEST(Dataset, FailureRatioMatchesPaper) {
   sim::Rng rng(2);
-  const Dataset ds = generate_dataset(rng, {});
+  const Dataset ds = generate_dataset(rng);
   const AnalysisResult res = analyze(ds);
   // Paper §3.1: 2832 / 24000 ≈ 11.8%, "over 10% failure ratio".
   EXPECT_NEAR(res.failure_ratio(), 0.118, 0.01);
@@ -26,7 +24,7 @@ TEST(Dataset, FailureRatioMatchesPaper) {
 
 TEST(Dataset, PlaneSplitMatchesTable1) {
   sim::Rng rng(3);
-  const Dataset ds = generate_dataset(rng, {});
+  const Dataset ds = generate_dataset(rng);
   const AnalysisResult res = analyze(ds);
   const double cp = static_cast<double>(res.control_plane_failures) /
                     static_cast<double>(res.failures);
@@ -35,7 +33,7 @@ TEST(Dataset, PlaneSplitMatchesTable1) {
 
 TEST(Dataset, Table1TopCausesInOrder) {
   sim::Rng rng(20220822);
-  const Dataset ds = generate_dataset(rng, {});
+  const Dataset ds = generate_dataset(rng);
   const AnalysisResult res = analyze(ds);
   const auto cp = res.top_causes(nas::Plane::kControl, 5);
   ASSERT_EQ(cp.size(), 5u);
@@ -50,9 +48,7 @@ TEST(Dataset, Table1TopCausesInOrder) {
 
 TEST(Dataset, EveryOutcomeMessageDecodes) {
   sim::Rng rng(4);
-  GeneratorOptions opts;
-  opts.procedures = 3000;
-  const Dataset ds = generate_dataset(rng, opts);
+  const Dataset ds = generate_dataset(rng, 3000);
   nas::DecodeError err;
   for (const auto& rec : ds.records) {
     EXPECT_TRUE(nas::decode_message(rec.outcome_message, &err).has_value())
@@ -63,7 +59,7 @@ TEST(Dataset, EveryOutcomeMessageDecodes) {
 
 TEST(Dataset, RecordsSortedByTime) {
   sim::Rng rng(5);
-  const Dataset ds = generate_dataset(rng, {});
+  const Dataset ds = generate_dataset(rng);
   for (std::size_t i = 1; i < ds.records.size(); ++i) {
     EXPECT_LE(ds.records[i - 1].timestamp_s, ds.records[i].timestamp_s);
   }
@@ -71,9 +67,7 @@ TEST(Dataset, RecordsSortedByTime) {
 
 TEST(Dataset, SerializeDeserializeRoundTrip) {
   sim::Rng rng(6);
-  GeneratorOptions opts;
-  opts.procedures = 500;
-  const Dataset ds = generate_dataset(rng, opts);
+  const Dataset ds = generate_dataset(rng, 500);
   const Bytes blob = ds.serialize();
   const auto back = Dataset::deserialize(blob);
   ASSERT_TRUE(back.has_value());
@@ -88,18 +82,14 @@ TEST(Dataset, SerializeDeserializeRoundTrip) {
 
 TEST(Dataset, DeserializeRejectsBadMagic) {
   sim::Rng rng(7);
-  GeneratorOptions opts;
-  opts.procedures = 10;
-  Bytes blob = generate_dataset(rng, opts).serialize();
+  Bytes blob = generate_dataset(rng, 10).serialize();
   blob[0] = 'X';
   EXPECT_FALSE(Dataset::deserialize(blob).has_value());
 }
 
 TEST(Dataset, DeserializeRejectsTruncation) {
   sim::Rng rng(8);
-  GeneratorOptions opts;
-  opts.procedures = 10;
-  const Bytes blob = generate_dataset(rng, opts).serialize();
+  const Bytes blob = generate_dataset(rng, 10).serialize();
   for (std::size_t len : std::vector<std::size_t>{0, 4, 8, 12, blob.size() - 1}) {
     EXPECT_FALSE(
         Dataset::deserialize(BytesView(blob.data(), len)).has_value())
@@ -109,9 +99,7 @@ TEST(Dataset, DeserializeRejectsTruncation) {
 
 TEST(Dataset, DeserializeRejectsTrailingGarbage) {
   sim::Rng rng(9);
-  GeneratorOptions opts;
-  opts.procedures = 10;
-  Bytes blob = generate_dataset(rng, opts).serialize();
+  Bytes blob = generate_dataset(rng, 10).serialize();
   blob.push_back(0);
   EXPECT_FALSE(Dataset::deserialize(blob).has_value());
 }
@@ -141,7 +129,7 @@ TEST(Dataset, AnalyzeCountsOnlyRejectsAsFailures) {
 
 TEST(Dataset, TopCausesRespectsK) {
   sim::Rng rng(10);
-  const Dataset ds = generate_dataset(rng, {});
+  const Dataset ds = generate_dataset(rng);
   const AnalysisResult res = analyze(ds);
   EXPECT_EQ(res.top_causes(nas::Plane::kControl, 3).size(), 3u);
   EXPECT_LE(res.top_causes(nas::Plane::kData, 100).size(), res.causes.size());
@@ -149,10 +137,8 @@ TEST(Dataset, TopCausesRespectsK) {
 
 TEST(Dataset, DeterministicForFixedSeed) {
   sim::Rng a(42), b(42);
-  GeneratorOptions opts;
-  opts.procedures = 200;
-  const Bytes blob_a = generate_dataset(a, opts).serialize();
-  const Bytes blob_b = generate_dataset(b, opts).serialize();
+  const Bytes blob_a = generate_dataset(a, 200).serialize();
+  const Bytes blob_b = generate_dataset(b, 200).serialize();
   EXPECT_EQ(blob_a, blob_b);
 }
 
