@@ -1,9 +1,10 @@
 // AES-128 block cipher (FIPS-197), encryption direction only — CTR and
 // CMAC modes, and Milenage, need only the forward transform.
 //
-// Implemented from scratch with a compile-time S-box; no external crypto
-// dependency. Not hardened against cache-timing side channels: this is a
-// simulation substrate, not a production SIM.
+// Implemented from scratch: each round is four 32-bit T-table lookups per
+// column, with the tables built at compile time from the S-box. No
+// external crypto dependency. Not hardened against cache-timing side
+// channels: this is a simulation substrate, not a production SIM.
 #pragma once
 
 #include <array>
@@ -27,8 +28,8 @@ class Aes128 {
   Block encrypt(const Block& block) const;
 
  private:
-  // 11 round keys of 16 bytes each.
-  std::array<std::uint8_t, 176> round_keys_{};
+  // 11 round keys of four big-endian words each (FIPS-197 w[0..43]).
+  std::array<std::uint32_t, 44> round_keys_{};
 };
 
 /// Builds a Block from a view; throws std::invalid_argument unless 16 bytes.

@@ -1,36 +1,35 @@
 #include "crypto/milenage.h"
 
+#include <algorithm>
+
+#include "obs/prof.h"
+
 namespace seed::crypto {
 
 namespace {
 
-Block xor_block(const Block& a, const Block& b) {
+void xor_into(Block& a, const Block& b) {
+  for (std::size_t i = 0; i < 16; ++i) a[i] ^= b[i];
+}
+
+// Cyclic rotation left by r bytes (every Milenage r is a multiple of 8 bits).
+Block rotate(const Block& in, int r_bytes) {
   Block out;
-  for (std::size_t i = 0; i < 16; ++i) out[i] = a[i] ^ b[i];
+  for (std::size_t i = 0; i < 16; ++i) {
+    out[i] = in[(i + static_cast<std::size_t>(r_bytes)) % 16];
+  }
   return out;
 }
 
-// Cyclic rotation left by r bits (r is a multiple of 8 in Milenage).
-Block rotate(const Block& in, int r_bits) {
-  const std::size_t r = static_cast<std::size_t>(r_bits / 8);
-  Block out;
-  for (std::size_t i = 0; i < 16; ++i) out[i] = in[(i + r) % 16];
-  return out;
-}
-
-Block constant_block(std::uint8_t last) {
-  Block c{};
-  c[15] = last;
-  return c;
-}
+// TS 35.206 r2..r5 in bytes and c2..c5 (only the last byte is set).
+constexpr int kR2 = 0, kR3 = 4, kR4 = 8, kR5 = 12;
+constexpr std::uint8_t kC2 = 0x01, kC3 = 0x02, kC4 = 0x04, kC5 = 0x08;
 
 }  // namespace
 
 Milenage::Milenage(const Key128& k, const Key128& op) : k_(k) {
   const Aes128 aes(k);
-  Block opb;
-  for (std::size_t i = 0; i < 16; ++i) opb[i] = op[i];
-  const Block e = aes.encrypt(opb);
+  const Block e = aes.encrypt(op);
   for (std::size_t i = 0; i < 16; ++i) opc_[i] = e[i] ^ op[i];
 }
 
@@ -41,66 +40,98 @@ Milenage Milenage::from_opc(const Key128& k, const Key128& opc) {
   return Milenage(k, opc, true);
 }
 
-MilenageOutput Milenage::compute(const Block& rand,
-                                 const std::array<std::uint8_t, 6>& sqn,
-                                 const std::array<std::uint8_t, 2>& amf) const {
-  const Aes128 aes(k_);
-  Block opc;
-  for (std::size_t i = 0; i < 16; ++i) opc[i] = opc_[i];
-
-  const Block temp = aes.encrypt(xor_block(rand, opc));
-
-  // f1 / f1*: IN1 = SQN || AMF || SQN || AMF.
-  Block in1{};
-  for (std::size_t i = 0; i < 6; ++i) in1[i] = sqn[i];
-  in1[6] = amf[0];
-  in1[7] = amf[1];
-  for (std::size_t i = 0; i < 6; ++i) in1[i + 8] = sqn[i];
-  in1[14] = amf[0];
-  in1[15] = amf[1];
-
-  const Block c1 = constant_block(0x00);
-  const Block c2 = constant_block(0x01);
-  const Block c3 = constant_block(0x02);
-  const Block c4 = constant_block(0x04);
-  const Block c5 = constant_block(0x08);
-
-  // OUT1 = E_K(TEMP xor rot(IN1 xor OPc, r1) xor c1) xor OPc, r1 = 64.
-  Block out1 = xor_block(
-      aes.encrypt(xor_block(xor_block(temp, rotate(xor_block(in1, opc), 64)),
-                            c1)),
-      opc);
-  // OUT2 = E_K(rot(TEMP xor OPc, r2) xor c2) xor OPc, r2 = 0.
-  Block out2 = xor_block(
-      aes.encrypt(xor_block(rotate(xor_block(temp, opc), 0), c2)), opc);
-  // OUT3: r3 = 32, c3. OUT4: r4 = 64, c4. OUT5: r5 = 96, c5.
-  Block out3 = xor_block(
-      aes.encrypt(xor_block(rotate(xor_block(temp, opc), 32), c3)), opc);
-  Block out4 = xor_block(
-      aes.encrypt(xor_block(rotate(xor_block(temp, opc), 64), c4)), opc);
-  Block out5 = xor_block(
-      aes.encrypt(xor_block(rotate(xor_block(temp, opc), 96), c5)), opc);
-
-  MilenageOutput result{};
-  for (std::size_t i = 0; i < 8; ++i) result.mac_a[i] = out1[i];
-  for (std::size_t i = 0; i < 8; ++i) result.mac_s[i] = out1[i + 8];
-  for (std::size_t i = 0; i < 8; ++i) result.res[i] = out2[i + 8];
-  for (std::size_t i = 0; i < 6; ++i) result.ak[i] = out2[i];
-  result.ck = out3;
-  result.ik = out4;
-  for (std::size_t i = 0; i < 6; ++i) result.ak_s[i] = out5[i];
-  return result;
+Block Milenage::temp(const Aes128& aes, const Block& rand) const {
+  Block t = rand;
+  xor_into(t, opc_);
+  aes.encrypt_block(t);
+  return t;
 }
 
-Block Milenage::build_autn(const MilenageOutput& out,
-                           const std::array<std::uint8_t, 6>& sqn,
-                           const std::array<std::uint8_t, 2>& amf) const {
-  Block autn{};
-  for (std::size_t i = 0; i < 6; ++i) autn[i] = sqn[i] ^ out.ak[i];
-  autn[6] = amf[0];
-  autn[7] = amf[1];
-  for (std::size_t i = 0; i < 8; ++i) autn[i + 8] = out.mac_a[i];
-  return autn;
+Block Milenage::out1(const Aes128& aes, const Block& temp, const Sqn& sqn,
+                     const Amf& amf) const {
+  // IN1 = SQN || AMF || SQN || AMF.
+  Block in1;
+  std::copy(sqn.begin(), sqn.end(), in1.begin());
+  std::copy(amf.begin(), amf.end(), in1.begin() + 6);
+  std::copy(in1.begin(), in1.begin() + 8, in1.begin() + 8);
+  xor_into(in1, opc_);
+  // OUT1 = E_K(TEMP xor rot(IN1 xor OPc, r1) xor c1) xor OPc, r1 = 64,
+  // c1 = 0.
+  Block x = rotate(in1, 8);
+  xor_into(x, temp);
+  aes.encrypt_block(x);
+  xor_into(x, opc_);
+  return x;
+}
+
+Block Milenage::out(const Aes128& aes, const Block& temp, int r_bytes,
+                    std::uint8_t c) const {
+  Block x = temp;
+  xor_into(x, opc_);
+  x = rotate(x, r_bytes);
+  x[15] ^= c;
+  aes.encrypt_block(x);
+  xor_into(x, opc_);
+  return x;
+}
+
+F1Output Milenage::f1(const Block& rand, const Sqn& sqn,
+                      const Amf& amf) const {
+  PROF_ZONE("crypto.milenage");
+  const Aes128 aes(k_);
+  const Block o1 = out1(aes, temp(aes, rand), sqn, amf);
+  F1Output r;
+  std::copy(o1.begin(), o1.begin() + 8, r.mac_a.begin());
+  std::copy(o1.begin() + 8, o1.end(), r.mac_s.begin());
+  return r;
+}
+
+F2345Output Milenage::f2345(const Block& rand) const {
+  PROF_ZONE("crypto.milenage");
+  const Aes128 aes(k_);
+  const Block t = temp(aes, rand);
+  const Block o2 = out(aes, t, kR2, kC2);
+  const Block o5 = out(aes, t, kR5, kC5);
+  F2345Output r;
+  std::copy(o2.begin() + 8, o2.end(), r.res.begin());
+  r.ck = out(aes, t, kR3, kC3);
+  r.ik = out(aes, t, kR4, kC4);
+  std::copy(o2.begin(), o2.begin() + 6, r.ak.begin());
+  std::copy(o5.begin(), o5.begin() + 6, r.ak_s.begin());
+  return r;
+}
+
+AuthVector Milenage::auth_vector(const Block& rand, const Sqn& sqn,
+                                 const Amf& amf) const {
+  PROF_ZONE("crypto.milenage");
+  const Aes128 aes(k_);
+  const Block t = temp(aes, rand);
+  const Block o1 = out1(aes, t, sqn, amf);
+  const Block o2 = out(aes, t, kR2, kC2);  // AK || .. || RES
+  AuthVector v;
+  for (std::size_t i = 0; i < 6; ++i) v.autn[i] = sqn[i] ^ o2[i];
+  std::copy(amf.begin(), amf.end(), v.autn.begin() + 6);
+  std::copy(o1.begin(), o1.begin() + 8, v.autn.begin() + 8);
+  std::copy(o2.begin() + 8, o2.end(), v.xres.begin());
+  return v;
+}
+
+std::optional<Res> Milenage::check_autn(const Block& rand,
+                                        const Block& autn) const {
+  PROF_ZONE("crypto.milenage");
+  const Aes128 aes(k_);
+  const Block t = temp(aes, rand);
+  const Block o2 = out(aes, t, kR2, kC2);  // AK || .. || RES
+  Sqn sqn;
+  for (std::size_t i = 0; i < 6; ++i) sqn[i] = autn[i] ^ o2[i];
+  const Amf amf = {autn[6], autn[7]};
+  const Block o1 = out1(aes, t, sqn, amf);
+  if (!std::equal(o1.begin(), o1.begin() + 8, autn.begin() + 8)) {
+    return std::nullopt;
+  }
+  Res res;
+  std::copy(o2.begin() + 8, o2.end(), res.begin());
+  return res;
 }
 
 }  // namespace seed::crypto

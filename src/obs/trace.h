@@ -11,9 +11,10 @@
 // main thread or a FleetRunner worker — owns an isolated instance; the
 // fleet layer merges shard captures in shard order) and is OFF by
 // default. Emit points are gated on
-// `enabled()` *before* any argument formatting — the same pattern as
-// `LogLine::live_` — so a disabled tracer adds no heap allocations on
-// the hot path; the inline emit_* helpers below take PODs only.
+// `enabled()` *before* any argument formatting — the same pattern as a
+// disabled `SLOG`, which never builds its line — so a disabled tracer adds
+// no heap allocations on the hot path; the inline emit_* helpers below
+// take PODs only.
 #pragma once
 
 #include <cstddef>

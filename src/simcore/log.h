@@ -49,31 +49,42 @@ class Logger {
 };
 
 /// Builds a log line with stream syntax:  SLOG(kInfo, "amf") << "attach";
+/// Only SLOG constructs one, and only when its level is enabled, so the
+/// line always reaches the logger.
 class LogLine {
  public:
   LogLine(LogLevel level, std::string_view component)
-      : level_(level), component_(component),
-        live_(Logger::instance().enabled(level)) {}
-  ~LogLine() {
-    if (live_) Logger::instance().write(level_, component_, out_.str());
-  }
+      : level_(level), component_(component) {}
+  ~LogLine() { Logger::instance().write(level_, component_, out_.str()); }
   LogLine(const LogLine&) = delete;
   LogLine& operator=(const LogLine&) = delete;
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (live_) out_ << v;
+    out_ << v;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::string component_;
-  bool live_;
+  std::string_view component_;  // SLOG's argument outlives the statement
   std::ostringstream out_;
+};
+
+/// Gives SLOG's enabled arm type void, to match the disabled arm. `&`
+/// binds looser than `<<`, so it takes the whole finished line.
+struct LogVoidify {
+  void operator&(const LogLine&) const {}
 };
 
 }  // namespace seed::sim
 
-#define SLOG(level, component) \
-  ::seed::sim::LogLine(::seed::sim::LogLevel::level, component)
+/// A disabled SLOG is a branch: it builds no stream and evaluates none of
+/// its `<<` operands, so operands must be free of side effects. The
+/// statement is one expression, so `if (c) SLOG(...) << x; else y();`
+/// binds the `else` to the `if`.
+#define SLOG(level, component)                                        \
+  !::seed::sim::Logger::instance().enabled(::seed::sim::LogLevel::level) \
+      ? static_cast<void>(0)                                          \
+      : ::seed::sim::LogVoidify() &                                   \
+            ::seed::sim::LogLine(::seed::sim::LogLevel::level, component)

@@ -242,18 +242,19 @@ TEST(Milenage, Ts35207TestSet1) {
   const Key128 k = key_from_hex("465b5ce8b199b49faa5f0a2ee238a6bc");
   const Block rand = block_from_hex("23553cbe9637a89d218ae64dae47bf35");
   const Key128 op = key_from_hex("cdc202d5123e20f62b6d676ac72cb318");
-  const std::array<std::uint8_t, 6> sqn = {0xff, 0x9b, 0xb4, 0xd0, 0xb6, 0x07};
-  const std::array<std::uint8_t, 2> amf = {0xb9, 0xb9};
+  const Sqn sqn = {0xff, 0x9b, 0xb4, 0xd0, 0xb6, 0x07};
+  const Amf amf = {0xb9, 0xb9};
 
   const Milenage m(k, op);
   EXPECT_EQ(to_hex(Bytes(m.opc().begin(), m.opc().end())),
             "cd63cb71954a9f4e48a5994e37a02baf");
 
-  const MilenageOutput out = m.compute(rand, sqn, amf);
-  EXPECT_EQ(to_hex(Bytes(out.mac_a.begin(), out.mac_a.end())),
+  const F1Output f1 = m.f1(rand, sqn, amf);
+  EXPECT_EQ(to_hex(Bytes(f1.mac_a.begin(), f1.mac_a.end())),
             "4a9ffac354dfafb3");
-  EXPECT_EQ(to_hex(Bytes(out.mac_s.begin(), out.mac_s.end())),
+  EXPECT_EQ(to_hex(Bytes(f1.mac_s.begin(), f1.mac_s.end())),
             "01cfaf9ec4e871e9");
+  const F2345Output out = m.f2345(rand);
   EXPECT_EQ(to_hex(Bytes(out.res.begin(), out.res.end())), "a54211d5e3ba50bf");
   EXPECT_EQ(block_hex(out.ck), "b40ba9a3c58b2a05bbf0d987b21bf8cb");
   EXPECT_EQ(block_hex(out.ik), "f769bcd751044604127672711c6d3441");
@@ -267,9 +268,7 @@ TEST(Milenage, FromOpcMatchesDerived) {
   const Milenage a(k, op);
   const Milenage b = Milenage::from_opc(k, a.opc());
   const Block rand = block_from_hex("23553cbe9637a89d218ae64dae47bf35");
-  const std::array<std::uint8_t, 6> sqn{};
-  const std::array<std::uint8_t, 2> amf{};
-  EXPECT_EQ(a.compute(rand, sqn, amf).res, b.compute(rand, sqn, amf).res);
+  EXPECT_EQ(a.f2345(rand).res, b.f2345(rand).res);
 }
 
 TEST(Milenage, AutnStructure) {
@@ -277,17 +276,21 @@ TEST(Milenage, AutnStructure) {
   const Key128 op = key_from_hex("cdc202d5123e20f62b6d676ac72cb318");
   const Milenage m(k, op);
   const Block rand = block_from_hex("23553cbe9637a89d218ae64dae47bf35");
-  const std::array<std::uint8_t, 6> sqn = {0xff, 0x9b, 0xb4, 0xd0, 0xb6, 0x07};
-  const std::array<std::uint8_t, 2> amf = {0xb9, 0xb9};
-  const auto out = m.compute(rand, sqn, amf);
-  const Block autn = m.build_autn(out, sqn, amf);
-  // SQN xor AK recovers SQN with the same AK.
+  const Sqn sqn = {0xff, 0x9b, 0xb4, 0xd0, 0xb6, 0x07};
+  const Amf amf = {0xb9, 0xb9};
+  const AuthVector av = m.auth_vector(rand, sqn, amf);
+  const F1Output f1 = m.f1(rand, sqn, amf);
+  const F2345Output f2345 = m.f2345(rand);
+  // AUTN = (SQN xor AK) || AMF || MAC-A, and XRES is f2's RES.
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(static_cast<std::uint8_t>(autn[i] ^ out.ak[i]), sqn[i]);
+    EXPECT_EQ(static_cast<std::uint8_t>(av.autn[i] ^ f2345.ak[i]), sqn[i]);
   }
-  EXPECT_EQ(autn[6], 0xb9);
-  EXPECT_EQ(autn[7], 0xb9);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(autn[8 + i], out.mac_a[i]);
+  EXPECT_EQ(av.autn[6], 0xb9);
+  EXPECT_EQ(av.autn[7], 0xb9);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(av.autn[8 + i], f1.mac_a[i]);
+  EXPECT_EQ(av.xres, f2345.res);
+  // The SIM side reads the same vector back to the same RES.
+  EXPECT_EQ(m.check_autn(rand, av.autn), f2345.res);
 }
 
 // ------------------------------------------------------- SecurityContext

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +36,7 @@ class ObsTest : public ::testing::Test {
     Registry::instance().enable(false);
     Registry::instance().clear();
     sim::Logger::instance().set_level(sim::LogLevel::kOff);
+    sim::Logger::instance().set_sink(nullptr);
   }
 
   void advance(sim::Duration d) { now_ += d; }
@@ -196,11 +198,57 @@ TEST_F(ObsTest, LogLinesBridgeIntoTraceStream) {
   t.enable(true);
   sim::Logger::instance().set_level(sim::LogLevel::kDebug);
   advance(sim::seconds(2));
-  SLOG(kDebug, "obstest") << "bridge check " << 7;
+  // The bridge sink prints through the stock writer: capture stdout.
+  std::ostringstream printed;
+  std::streambuf* const saved = std::cout.rdbuf(printed.rdbuf());
+  SLOG(kDebug, "obstest") << "bridge check " << 7 << ' ' << 1.5;
+  std::cout.rdbuf(saved);
+  EXPECT_EQ(printed.str(),
+            "[    2.000000s] DEBUG [obstest] bridge check 7 1.5\n");
   ASSERT_EQ(t.event_count(EventKind::kLog), 1u);
   const Event& e = t.events().back();
-  EXPECT_EQ(e.detail, "obstest: bridge check 7");
+  EXPECT_EQ(e.detail, "obstest: bridge check 7 1.5");
   EXPECT_EQ(e.at_us, 2000000);  // same clock as the tracer
+}
+
+// Routes every line the logger emits into `lines` as "component: message".
+void capture_log(std::vector<std::string>& lines) {
+  sim::Logger::instance().set_sink(
+      [&lines](sim::LogLevel, std::string_view component,
+               std::string_view message, const sim::TimePoint*) {
+        lines.push_back(std::string(component) + ": " + std::string(message));
+      });
+}
+
+TEST_F(ObsTest, DisabledSlogEvaluatesNoOperand) {
+  std::vector<std::string> lines;
+  capture_log(lines);
+  int evaluated = 0;
+  auto counted = [&evaluated] { return ++evaluated; };
+
+  SLOG(kError, "obstest") << "off " << counted();  // level kOff
+  sim::Logger::instance().set_level(sim::LogLevel::kInfo);
+  SLOG(kDebug, "obstest") << "below level " << counted();
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_TRUE(lines.empty());
+
+  SLOG(kInfo, "obstest") << "enabled " << counted();
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(lines, std::vector<std::string>{"obstest: enabled 1"});
+}
+
+TEST_F(ObsTest, SlogBindsElseToEnclosingIf) {
+  std::vector<std::string> lines;
+  capture_log(lines);
+  sim::Logger::instance().set_level(sim::LogLevel::kInfo);
+  int else_taken = 0;
+  for (const bool cond : {true, false}) {
+    // Enabled and disabled lines alike are one statement each.
+    if (cond) SLOG(kInfo, "obstest") << "then"; else ++else_taken;
+    if (cond) SLOG(kDebug, "obstest") << "hidden"; else ++else_taken;
+  }
+  EXPECT_EQ(else_taken, 2);
+  EXPECT_EQ(lines, std::vector<std::string>{"obstest: then"});
 }
 
 TEST_F(ObsTest, RegistryHelpersAreNoOpsWhenDisabled) {

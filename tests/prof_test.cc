@@ -13,6 +13,7 @@
 #include "obs/fleet_obs.h"
 #include "obs/prof.h"
 #include "testbed/profile_workload.h"
+#include "testbed/testbed.h"
 
 namespace seed::obs {
 namespace {
@@ -142,6 +143,23 @@ TEST_F(ProfTest, ClearInsideOpenZoneIsSafe) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].name, "t.after");
   EXPECT_EQ(rows[0].stats.calls, 1u);
+}
+
+// 5G-AKA runs Milenage once on each side: one crypto.milenage call per
+// auth vector the core builds and one per SIM authentication.
+TEST_F(ProfTest, MilenageRunsOncePerAkaSide) {
+  if (!SEED_PROF_COMPILED) GTEST_SKIP() << "profiler compiled out";
+  testbed::Testbed tb(100, device::Scheme::kLegacy);
+  tb.bring_up();
+  const auto rows = Profiler::instance().rows();
+  const ZoneStats* milenage = stats_of(rows, "crypto.milenage");
+  ASSERT_NE(milenage, nullptr);
+  const std::uint64_t vectors = tb.core().stats().auth_vectors;
+  // A legacy SIM sees no DFlag fragments: every authentication is AKA.
+  const std::uint64_t sim_auths = tb.dev().applet().stats().auths_performed;
+  EXPECT_GE(vectors, 1u);
+  EXPECT_EQ(sim_auths, vectors);
+  EXPECT_EQ(milenage->calls, vectors + sim_auths);
 }
 
 TEST_F(ProfTest, AbsorbMergesByNameCommutatively) {

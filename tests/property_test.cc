@@ -13,6 +13,7 @@
 #include "seedproto/diag_payload.h"
 #include "seedproto/failure_report.h"
 #include "simcore/rng.h"
+#include "aes_ref.h"
 #include "wire_helpers.h"
 
 namespace seed {
@@ -73,6 +74,32 @@ TEST_P(CtrLengthSweep, DecryptInvertsEncrypt) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, CtrLengthSweep,
                          ::testing::Values(0, 1, 15, 16, 17, 32, 100, 1024));
+
+// The T-table cipher vs the byte-wise FIPS-197 reference on seeded random
+// key/block pairs: every block must encrypt to the same bytes.
+TEST(AesProperty, TTableMatchesByteWiseReference) {
+  // The oracle itself first: FIPS-197 Appendix C.1.
+  crypto::Key128 fips_key;
+  crypto::Block fips_block;
+  for (std::size_t i = 0; i < 16; ++i) {
+    fips_key[i] = static_cast<std::uint8_t>(i);
+    fips_block[i] = static_cast<std::uint8_t>(i * 0x11);
+  }
+  test::aes128_encrypt_ref(fips_key, fips_block);
+  EXPECT_EQ(to_hex(Bytes(fips_block.begin(), fips_block.end())),
+            "69c4e0d86a7b0430d8cdb78070b4c55a");
+
+  sim::Rng rng(197);
+  for (int i = 0; i < 10000; ++i) {
+    crypto::Key128 key;
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.next());
+    crypto::Block block;
+    for (auto& b : block) b = static_cast<std::uint8_t>(rng.next());
+    crypto::Block want = block;
+    test::aes128_encrypt_ref(key, want);
+    ASSERT_EQ(crypto::Aes128(key).encrypt(block), want) << "pair " << i;
+  }
+}
 
 // Batched CTR vs the retained scalar reference: every length 0..256
 // (covering non-block-multiple tails and whole batches) and in-place

@@ -4,6 +4,9 @@
 
 #include "apps/app_model.h"
 #include "common/params.h"
+#include "crypto/milenage.h"
+#include "simapplet/applet.h"
+#include "simcore/rng.h"
 #include "testbed/testbed.h"
 
 namespace seed::testbed {
@@ -34,6 +37,49 @@ TEST(ModemSystem, WrongKeyFailsAuthentication) {
   tb.dev().power_on();
   tb.simulator().run_for(sim::minutes(2));
   EXPECT_FALSE(tb.dev().modem().registered());
+}
+
+// The SIM accepts every AUTN the core's Milenage path builds and answers
+// with the RES the core expects; any single flipped MAC-A bit fails.
+TEST(ModemSystem, AkaRoundTripAcceptsCoreVectorsAndRejectsForgedMac) {
+  sim::Rng rng(35207);
+  auto random_block = [&rng] {
+    crypto::Block b;
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+    return b;
+  };
+  const crypto::Key128 k = random_block();
+  const crypto::Key128 opc = crypto::Milenage(k, random_block()).opc();
+  const crypto::Milenage core = crypto::Milenage::from_opc(k, opc);
+  sim::Simulator simulator;
+  sim::Rng applet_rng(1);
+  applet::SeedApplet card(simulator, applet_rng, modem::SimProfile{}, k, opc,
+                          crypto::Key128{});
+
+  constexpr std::uint64_t kMaxSqn = (std::uint64_t{1} << 48) - 1;
+  std::vector<std::uint64_t> sqns = {0, kMaxSqn};
+  for (int i = 0; i < 30; ++i) sqns.push_back(rng.next() & kMaxSqn);
+  for (const std::uint64_t sqn_value : sqns) {
+    crypto::Block rand = random_block();
+    rand[0] &= 0x7f;  // never the reserved DFlag RAND
+    crypto::Sqn sqn;
+    for (std::size_t i = 0; i < 6; ++i) {
+      sqn[i] = static_cast<std::uint8_t>(sqn_value >> (8 * (5 - i)));
+    }
+    const crypto::AuthVector av = core.auth_vector(rand, sqn, {0x80, 0x00});
+
+    const modem::AuthResult ok = card.authenticate(rand, av.autn);
+    ASSERT_EQ(ok.kind, modem::AuthResult::Kind::kSuccess) << sqn_value;
+    EXPECT_EQ(ok.res, Bytes(av.xres.begin(), av.xres.end())) << sqn_value;
+
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      crypto::Block forged = av.autn;
+      forged[8 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_EQ(card.authenticate(rand, forged).kind,
+                modem::AuthResult::Kind::kMacFailure)
+          << sqn_value << " bit " << bit;
+    }
+  }
 }
 
 TEST(ModemSystem, T3511PacesRetries) {
