@@ -18,11 +18,13 @@
 //                         [--no-cache] [--trace=city_trace.jsonl]
 //                         [--blackbox=city_blackbox.jsonl]
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "fleet_bench.h"
@@ -47,6 +49,16 @@ long long arg_of(int argc, char** argv, const char* key, long long fallback) {
     }
   }
   return fallback;
+}
+
+/// 64-bit FNV-1a over a byte string (the blackbox digest).
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 bool flag_of(int argc, char** argv, const char* key) {
@@ -201,12 +213,26 @@ int main(int argc, char** argv) {
             << recorder.blackboxes().size() << " blackboxes, "
             << obs::Registry::instance().series_dropped()
             << " label series observations dropped\n";
+  // The blackboxes enter the gated file as an event count and a digest
+  // of their JSONL dump, so any recorder drift changes committed bytes.
+  std::ostringstream box_buf;
+  recorder.dump_jsonl(box_buf);
+  const std::string box_jsonl = std::move(box_buf).str();
+  std::size_t blackbox_events = 0;
+  for (const obs::BlackboxSnapshot& box : recorder.blackboxes()) {
+    blackbox_events += box.events.size();
+  }
+  std::array<char, 17> box_digest{};
+  std::snprintf(box_digest.data(), box_digest.size(), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(box_jsonl)));
   std::ofstream health_json("BENCH_health.json", std::ios::trunc);
   health_json << "{\"bench\":\"city_health\",\"ues\":" << n_ues
               << ",\"seed\":" << seed << ",\"storm_min\":" << storm_min
               << ",\"series_dropped\":"
               << obs::Registry::instance().series_dropped()
               << ",\"blackboxes\":" << recorder.blackboxes().size()
+              << ",\"blackbox_events\":" << blackbox_events
+              << ",\"blackbox_fnv1a\":\"" << box_digest.data() << "\""
               << ",\"health\":";
   health.dump_json(health_json);
   health_json << "}\n";
@@ -248,7 +274,7 @@ int main(int argc, char** argv) {
 
   if (blackbox_path != nullptr) {
     std::ofstream box_out(blackbox_path, std::ios::trunc);
-    recorder.dump_jsonl(box_out);
+    box_out << box_jsonl;
     std::cout << "wrote " << blackbox_path << "\n";
   }
   if (trace_path != nullptr) {

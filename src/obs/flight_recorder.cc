@@ -6,7 +6,7 @@ namespace seed::obs {
 
 void FlightRecorder::on_trace_event(const Event& e) {
   if (e.kind == EventKind::kLog || e.kind == EventKind::kSloAlert) return;
-  Ring<Event>& ring = rings_.try_emplace(e.ue, capacity_).first->second;
+  Ring<Event>& ring = rings_.slot(e.ue).ring;
   ring.push(e);  // eviction is the point: only the tail survives
   if (e.kind != EventKind::kTerminalFailure) return;
 

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,7 @@ struct BlackboxSnapshot {
 class FlightRecorder : public EventObserver {
  public:
   /// `capacity` bounds each UE's ring (and therefore each blackbox).
-  explicit FlightRecorder(std::size_t capacity = 64) : capacity_(capacity) {}
+  explicit FlightRecorder(std::size_t capacity = 64) : rings_(capacity) {}
 
   /// Passive tap: appends the event to its UE's ring (kLog and kSloAlert
   /// lines are skipped — they carry no per-UE lifecycle); a
@@ -47,7 +46,7 @@ class FlightRecorder : public EventObserver {
   const std::vector<BlackboxSnapshot>& blackboxes() const {
     return blackboxes_;
   }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return rings_.depth(); }
   /// UEs currently holding ring state (bounded by the fleet size).
   std::size_t tracked_ues() const { return rings_.size(); }
 
@@ -64,10 +63,10 @@ class FlightRecorder : public EventObserver {
   void clear();
 
  private:
-  std::size_t capacity_;
-  /// Per-UE history on the shared ring primitive (the same Ring<Event>
-  /// the Tracer's tail-retention state uses).
-  std::map<std::uint32_t, Ring<Event>> rings_;
+  /// Per-UE history on the shared primitive (the same UeHistory the
+  /// Tracer's tail-retention state uses); a ring grows with the UE's
+  /// events up to `capacity`.
+  UeHistory<Event> rings_;
   std::vector<BlackboxSnapshot> blackboxes_;
 };
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "metrics/stats.h"
 #include "simcore/log.h"
 
 namespace seed::obs {
@@ -94,7 +93,9 @@ void HealthEngine::observe_value(SloState& s, double value, bool is_bad) {
   s.current.count += 1;
   s.current.bad += is_bad ? 1 : 0;
   s.current.sum += value;
-  s.current.values.push_back(value);
+  if (s.spec.stat == SloStat::kP50 || s.spec.stat == SloStat::kP95) {
+    s.current.values.push_back(value);
+  }
   s.totals.observations += 1;
   s.totals.bad += is_bad ? 1 : 0;
 }
@@ -206,33 +207,45 @@ double HealthEngine::burn_of(const SloSpec& spec, const Bucket& agg,
   return bad_fraction / spec.budget;
 }
 
-double HealthEngine::window_value(const SloState& s) const {
+double HealthEngine::window_value(const SloState& s) {
   // Reported stat over the long window (the ring, newest step included).
-  Bucket merged;
-  for (const Bucket& b : s.ring) {
-    merged.count += b.count;
-    merged.bad += b.bad;
-    merged.sum += b.sum;
-    merged.values.insert(merged.values.end(), b.values.begin(),
-                         b.values.end());
-  }
   switch (s.spec.stat) {
     case SloStat::kRatePerMin: {
+      std::uint64_t count = 0;
+      for (const Bucket& b : s.ring) count += b.count;
       const double minutes =
           static_cast<double>(s.ring.size()) *
           static_cast<double>(config_.window_us) / 60e6;
-      return minutes > 0 ? static_cast<double>(merged.count) / minutes : 0.0;
+      return minutes > 0 ? static_cast<double>(count) / minutes : 0.0;
     }
-    case SloStat::kMean:
-      return merged.count > 0
-                 ? merged.sum / static_cast<double>(merged.count)
-                 : 0.0;
+    case SloStat::kMean: {
+      std::uint64_t count = 0;
+      double sum = 0.0;
+      for (const Bucket& b : s.ring) {
+        count += b.count;
+        sum += b.sum;
+      }
+      return count > 0 ? sum / static_cast<double>(count) : 0.0;
+    }
     case SloStat::kP50:
     case SloStat::kP95: {
-      if (merged.values.empty()) return 0.0;
-      metrics::Samples samples;
-      for (double v : merged.values) samples.add(v);
-      return samples.percentile(s.spec.stat == SloStat::kP50 ? 50 : 95);
+      scratch_.clear();
+      for (const Bucket& b : s.ring) {
+        scratch_.insert(scratch_.end(), b.values.begin(), b.values.end());
+      }
+      if (scratch_.empty()) return 0.0;
+      // metrics::Samples::percentile's linear interpolation between the
+      // order statistics at `lo` and `lo + 1`, without a full sort.
+      const double p = s.spec.stat == SloStat::kP50 ? 50 : 95;
+      const double rank =
+          p / 100.0 * static_cast<double>(scratch_.size() - 1);
+      const auto lo = static_cast<std::size_t>(rank);
+      const double frac = rank - static_cast<double>(lo);
+      const auto at_lo = scratch_.begin() + static_cast<std::ptrdiff_t>(lo);
+      std::nth_element(scratch_.begin(), at_lo, scratch_.end());
+      if (lo + 1 >= scratch_.size()) return *at_lo;
+      const double next = *std::min_element(at_lo + 1, scratch_.end());
+      return *at_lo * (1.0 - frac) + next * frac;
     }
   }
   return 0.0;

@@ -143,7 +143,9 @@ class HealthEngine : public EventObserver {
   void dump_json(std::ostream& os) const;
 
  private:
-  /// One evaluation step's aggregation for one SLO.
+  /// One evaluation step's aggregation for one SLO. `values` holds the
+  /// observations only for percentile stats (p50/p95); rate and mean
+  /// stats need just the count and sum.
   struct Bucket {
     std::uint64_t count = 0;
     std::uint64_t bad = 0;
@@ -173,7 +175,7 @@ class HealthEngine : public EventObserver {
   void observe_value(SloState& s, double value, bool is_bad);
   void evaluate_boundary(std::int64_t boundary_us);
   void advance_to(std::int64_t at_us);
-  double window_value(const SloState& s) const;
+  double window_value(const SloState& s);
   void transition(SloState& s, AlertState to, std::int64_t at_us,
                   double value, double burn_short, double burn_long);
   static double burn_of(const SloSpec& spec, const Bucket& agg,
@@ -185,6 +187,7 @@ class HealthEngine : public EventObserver {
   std::vector<SloState> slos_;
   std::map<std::uint64_t, SpanLife> span_life_;
   std::vector<AlertRecord> alerts_;
+  std::vector<double> scratch_;  // window_value's percentile buffer
 };
 
 }  // namespace seed::obs

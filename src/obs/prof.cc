@@ -11,7 +11,7 @@ namespace seed::obs {
 
 namespace detail {
 
-thread_local bool tl_prof_on = false;
+constinit thread_local bool tl_prof_on = false;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(

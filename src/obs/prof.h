@@ -77,8 +77,10 @@ const std::string& prof_zone_name(ZoneId id);
 
 namespace detail {
 /// Mirrors Profiler::enabled() so the disabled hot path never touches the
-/// (larger) profiler object.
-extern thread_local bool tl_prof_on;
+/// (larger) profiler object. constinit: the initializer is constant, so
+/// other translation units read the variable directly instead of through
+/// a TLS init wrapper (which UBSan's null check trips on).
+extern constinit thread_local bool tl_prof_on;
 std::uint64_t now_ns();
 }  // namespace detail
 

@@ -48,27 +48,46 @@ void Registry::merge_from(const Registry& other) {
   }
 }
 
-std::string Registry::admit_series(std::string_view name) {
+std::string_view Registry::admit_series(std::string_view name) {
   const auto brace = name.find('{');
-  if (series_limit_ == 0 || brace == std::string_view::npos) {
-    return std::string(name);
-  }
+  if (series_limit_ == 0 || brace == std::string_view::npos) return name;
   const std::string_view base = name.substr(0, brace);
   auto it = label_cardinality_.find(base);
   if (it == label_cardinality_.end()) {
-    it = label_cardinality_.emplace(std::string(base), 0).first;
+    it = label_cardinality_.emplace(std::string(base), SeriesBudget{}).first;
   }
-  if (it->second >= series_limit_) {
+  SeriesBudget& budget = it->second;
+  if (budget.admitted >= series_limit_) {
     // Route the observation into the base's shared overflow bucket so
     // the aggregate stays right even though the label is dropped. The
     // overflow series itself does not consume cardinality budget.
-    counters_.try_emplace("obs.series_dropped").first->second.inc();
-    std::string out(base);
-    out += "{overflow}";
-    return out;
+    constexpr std::string_view kDropped = "obs.series_dropped";
+    auto dropped = counters_.find(kDropped);
+    if (dropped == counters_.end()) {
+      dropped = counters_.emplace(std::string(kDropped), Counter{}).first;
+    }
+    dropped->second.inc();
+    if (budget.overflow.empty()) {
+      budget.overflow.assign(base);
+      budget.overflow += "{overflow}";
+    }
+    return budget.overflow;
   }
-  ++it->second;
-  return std::string(name);
+  ++budget.admitted;
+  return name;
+}
+
+template <typename M>
+M& Registry::find_or_admit(std::map<std::string, M, std::less<>>& family,
+                           std::string_view name) {
+  auto it = family.find(name);
+  if (it != family.end()) return it->second;
+  const std::string_view series = admit_series(name);
+  it = family.find(series);
+  if (it == family.end()) {
+    it = family.emplace(std::string(series), M{}).first;
+  }
+  return it->second;
 }
 
 std::uint64_t Registry::series_dropped() const {
@@ -77,27 +96,15 @@ std::uint64_t Registry::series_dropped() const {
 }
 
 Counter& Registry::counter(std::string_view name) {
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(admit_series(name), Counter{}).first;
-  }
-  return it->second;
+  return find_or_admit(counters_, name);
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(admit_series(name), Gauge{}).first;
-  }
-  return it->second;
+  return find_or_admit(gauges_, name);
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(admit_series(name), Histogram{}).first;
-  }
-  return it->second;
+  return find_or_admit(histograms_, name);
 }
 
 void Registry::dump_prometheus(std::ostream& os) const {

@@ -105,10 +105,24 @@ class Registry {
   Registry snapshot() const { return *this; }
 
  private:
+  /// Cardinality budget of one base name. `overflow` names the base's
+  /// shared overflow series, built once, when the base first hits the
+  /// cap.
+  struct SeriesBudget {
+    std::size_t admitted = 0;
+    std::string overflow;
+  };
+
   /// Applied when `name` does not exist yet in a family: returns the
-  /// series to create instead (the name itself, or its overflow series
-  /// once the base is at the cardinality cap).
-  std::string admit_series(std::string_view name);
+  /// series to use instead (the name itself, or its base's overflow
+  /// series once the base is at the cardinality cap). The capped path
+  /// builds no strings.
+  std::string_view admit_series(std::string_view name);
+  /// Finds `name` in `family`, creating the series admit_series picks
+  /// on first use.
+  template <typename M>
+  M& find_or_admit(std::map<std::string, M, std::less<>>& family,
+                   std::string_view name);
 
   bool enabled_ = false;
   std::size_t series_limit_ = 0;
@@ -119,7 +133,7 @@ class Registry {
   std::map<std::string, Histogram, std::less<>> histograms_;
   // Distinct labeled series admitted per base name (all families share
   // one budget — base names do not collide across families in practice).
-  std::map<std::string, std::size_t, std::less<>> label_cardinality_;
+  std::map<std::string, SeriesBudget, std::less<>> label_cardinality_;
 };
 
 // ----- gated convenience helpers (one branch when disabled)

@@ -7,7 +7,6 @@
 #include <istream>
 #include <map>
 #include <ostream>
-#include <set>
 
 #include "obs/event_ring.h"
 #include "obs/trace_binary.h"
@@ -182,11 +181,12 @@ Tracer& Tracer::instance() {
 }
 
 /// Tail-retention bookkeeping (out-of-line: it owns a TlvSizer, and
-/// trace_binary.h includes trace.h). Rings are keyed by UE; `retained`
-/// holds UEs whose stream is durable from the promotion point on. All
-/// containers are ordered so iteration (sealing) is deterministic.
+/// trace_binary.h includes trace.h). One history slot per UE; a slot's
+/// `pinned` flag marks a UE whose stream is durable from the promotion
+/// point on (its ring is drained and released then).
 struct Tracer::RetentionState {
-  explicit RetentionState(const RetentionPolicy& p) : policy(p) {}
+  explicit RetentionState(const RetentionPolicy& p)
+      : policy(p), rings(p.ring_depth) {}
 
   bool is_trigger(const Event& e) const {
     switch (e.kind) {
@@ -205,8 +205,7 @@ struct Tracer::RetentionState {
 
   RetentionPolicy policy;
   RetentionStats stats;
-  std::map<std::uint32_t, Ring<Event>> rings;
-  std::set<std::uint32_t> retained;
+  UeHistory<Event> rings;
   TlvSizer sizer;
 };
 
@@ -225,37 +224,35 @@ RetentionStats Tracer::retention_stats() const {
 void Tracer::pin_ue(std::uint32_t ue) {
   if (retention_ == nullptr) return;
   RetentionState& rs = *retention_;
-  if (!rs.retained.insert(ue).second) return;
+  UeHistory<Event>::Slot& slot = rs.rings.slot(ue);
+  if (slot.pinned) return;
+  slot.pinned = true;
   ++rs.stats.ues_retained;
-  auto it = rs.rings.find(ue);
-  if (it == rs.rings.end()) return;
-  for (Event& buffered : it->second.take()) {
+  for (Event& buffered : slot.ring.take()) {
     ++rs.stats.events_retained;
     rs.stats.bytes_retained += rs.sizer.add(buffered);
     events_.push_back(std::move(buffered));
   }
-  rs.rings.erase(it);
 }
 
 void Tracer::seal_retention() {
   if (retention_ == nullptr) return;
   RetentionState& rs = *retention_;
-  for (auto& [ue, ring] : rs.rings) {
-    rs.stats.events_aged_out += ring.size();
+  for (UeHistory<Event>::Slot& slot : rs.rings) {
+    rs.stats.events_aged_out += slot.ring.size();
+    slot.ring.clear();
   }
-  rs.rings.clear();
 }
 
 void Tracer::route_retained(Event e) {
   RetentionState& rs = *retention_;
-  const std::uint32_t ue = e.ue;
-  if (rs.retained.count(ue) == 0) {
+  UeHistory<Event>::Slot& slot = rs.rings.slot(e.ue);
+  if (!slot.pinned) {
     if (!rs.is_trigger(e)) {
-      auto [it, inserted] = rs.rings.try_emplace(ue, rs.policy.ring_depth);
-      if (it->second.push(std::move(e))) ++rs.stats.events_aged_out;
+      if (slot.ring.push(std::move(e))) ++rs.stats.events_aged_out;
       return;
     }
-    pin_ue(ue);  // replays the ring ahead of the triggering event
+    pin_ue(e.ue);  // replays the ring ahead of the triggering event
   }
   ++rs.stats.events_retained;
   rs.stats.bytes_retained += rs.sizer.add(e);

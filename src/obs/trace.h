@@ -101,7 +101,6 @@ struct Event {
   /// across every vantage point that emitted into the span.
   std::uint64_t seq = 0;
   std::uint64_t parent = 0;
-  EventKind kind = EventKind::kLog;
   std::int64_t at_us = 0;  // simulated time (µs since sim epoch)
   /// UE label in multi-UE experiments (1-based device index; 0 = the
   /// single-UE / unattributed steady state). Stamped automatically from
@@ -113,6 +112,10 @@ struct Event {
   /// set, so verdicts inherit the label of the injection that caused
   /// them with zero per-layer plumbing.
   std::uint32_t label = 0;
+  // The one-byte fields sit together so they share one 8-byte word
+  // (96 B per event instead of 104 on LP64): the flight recorder and
+  // retention rings hold tens of thousands of these.
+  EventKind kind = EventKind::kLog;
   Origin origin = Origin::kNone;
   std::uint8_t plane = 0;   // 0 = control, 1 = data
   std::uint8_t cause = 0;   // standardized or customized cause code

@@ -3,6 +3,9 @@
 // terminal failure must leave a blackbox holding that UE's last events.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,6 +117,48 @@ TEST(FlightRecorder_, MergeAndDumpAreDeterministic) {
   std::size_t lines = 0;
   for (char c : out) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, 6u);
+}
+
+TEST(FlightRecorder_, SeededStreamMatchesMapAndDequeReference) {
+  constexpr std::size_t kDepth = 6;
+  std::mt19937 rng(99);
+  const std::uint32_t ues[] = {0, 1, 2, 7, 40, 41, 1000, 0xFFFFFFFFu};
+  std::vector<Event> stream;
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint32_t ue = ues[rng() % 8];
+    const std::uint32_t roll = rng() % 100;
+    Event e = roll < 3    ? terminal(ue, i, roll == 0 ? "watchdog" : "ladder")
+              : roll < 8  ? ev(ue, i, EventKind::kLog)
+              : roll < 10 ? ev(ue, i, EventKind::kSloAlert)
+                          : ev(ue, i, static_cast<EventKind>(rng() % 6));
+    e.seq = static_cast<std::uint64_t>(i) + 1;
+    stream.push_back(std::move(e));
+  }
+
+  // Reference: the ordered-map-of-deques model the recorder was written as.
+  std::map<std::uint32_t, std::deque<Event>> rings;
+  std::vector<BlackboxSnapshot> want;
+  for (const Event& e : stream) {
+    if (e.kind == EventKind::kLog || e.kind == EventKind::kSloAlert) continue;
+    std::deque<Event>& ring = rings[e.ue];
+    ring.push_back(e);
+    if (ring.size() > kDepth) ring.pop_front();
+    if (e.kind != EventKind::kTerminalFailure) continue;
+    want.push_back({e.ue, e.at_us, e.detail, {ring.begin(), ring.end()}});
+  }
+
+  FlightRecorder recorder(kDepth);
+  recorder.ingest(stream);
+  EXPECT_EQ(recorder.tracked_ues(), rings.size());
+  ASSERT_EQ(recorder.blackboxes().size(), want.size());
+  EXPECT_GT(want.size(), 50u);  // every UE dies more than once
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const BlackboxSnapshot& got = recorder.blackboxes()[i];
+    EXPECT_EQ(got.ue, want[i].ue);
+    EXPECT_EQ(got.at_us, want[i].at_us);
+    EXPECT_EQ(got.reason, want[i].reason);
+    EXPECT_EQ(got.events, want[i].events) << "blackbox " << i;
+  }
 }
 
 // ------------------------------------------- acceptance (integration)

@@ -360,6 +360,33 @@ TEST_F(ObsTest, RegistryCapsLabelCardinality) {
   r.set_series_limit(0);
 }
 
+TEST_F(ObsTest, RegistryOverflowRoutingSurvivesSnapshotAndClear) {
+  Registry& r = Registry::instance();
+  r.enable(true);
+  r.set_series_limit(1);
+  r.counter(ue_series("core.rejects", 1)).inc();
+  r.counter(ue_series("core.rejects", 2)).inc();  // first overflow
+  r.histogram(ue_series("core.rejects", 3)).observe(1.0);  // other family
+  EXPECT_EQ(&r.counter(ue_series("core.rejects", 5)),
+            &r.counter("core.rejects{overflow}"));
+  // A snapshot routes over-cap series into its own maps, never into the
+  // registry it was copied from.
+  Registry snap = r.snapshot();
+  snap.counter(ue_series("core.rejects", 7)).inc(10);
+  EXPECT_EQ(snap.counter("core.rejects{overflow}").value(), 11u);
+  EXPECT_EQ(snap.series_dropped(), 4u);
+  EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 1u);
+  EXPECT_EQ(r.series_dropped(), 3u);
+  EXPECT_EQ(r.histogram("core.rejects{overflow}").samples().count(), 1u);
+  // clear() resets the budgets along with the series.
+  r.clear();
+  r.counter(ue_series("core.rejects", 1)).inc();
+  r.counter(ue_series("core.rejects", 2)).inc();
+  EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 1u);
+  EXPECT_EQ(r.series_dropped(), 1u);
+  r.set_series_limit(0);
+}
+
 TEST_F(ObsTest, RegistrySeriesLimitZeroIsUnlimited) {
   Registry& r = Registry::instance();
   r.enable(true);

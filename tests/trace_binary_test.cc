@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,12 +36,10 @@ using obs::TraceReader;
 
 TEST(EventRing, PushEvictsOldestOnceFull) {
   Ring<int> ring(3);
-  EXPECT_FALSE(ring.push(1).has_value());
-  EXPECT_FALSE(ring.push(2).has_value());
-  EXPECT_FALSE(ring.push(3).has_value());
-  const auto evicted = ring.push(4);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 1);
+  EXPECT_FALSE(ring.push(1));
+  EXPECT_FALSE(ring.push(2));
+  EXPECT_FALSE(ring.push(3));
+  EXPECT_TRUE(ring.push(4));  // 1, the oldest, is the one evicted
   std::vector<int> out;
   ring.append_to(out);
   EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
@@ -49,21 +50,114 @@ TEST(EventRing, PushEvictsOldestOnceFull) {
 TEST(EventRing, WrapsManyTimesInOrder) {
   Ring<int> ring(4);
   for (int i = 0; i < 100; ++i) {
-    const auto evicted = ring.push(i);
-    EXPECT_EQ(evicted.has_value(), i >= 4);
-    if (evicted) {
-      EXPECT_EQ(*evicted, i - 4);
-    }
+    EXPECT_EQ(ring.push(i), i >= 4);
+    // Oldest-first after every push, across 24 full wraps.
+    std::vector<int> out;
+    ring.append_to(out);
+    std::vector<int> want;
+    for (int v = std::max(0, i - 3); v <= i; ++v) want.push_back(v);
+    ASSERT_EQ(out, want) << "after pushing " << i;
   }
   EXPECT_EQ(ring.take(), (std::vector<int>{96, 97, 98, 99}));
 }
 
 TEST(EventRing, ZeroCapacityEvictsImmediately) {
   Ring<int> ring(0);
-  const auto evicted = ring.push(7);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 7);
+  EXPECT_TRUE(ring.push(7));
   EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.reserved(), 0u);
+}
+
+TEST(EventRing, StorageGrowsWithPushesUpToDepth) {
+  Ring<int> ring(64);
+  EXPECT_EQ(ring.reserved(), 0u);  // nothing until the first push
+  for (std::size_t n = 1; n <= 64; ++n) {
+    ring.push(static_cast<int>(n));
+    EXPECT_GE(ring.reserved(), n);
+    EXPECT_LE(ring.reserved(), std::max<std::size_t>(4, 2 * n));
+  }
+  // A depth that doubling would overshoot is still a hard cap.
+  Ring<int> odd(50);
+  for (int i = 0; i < 500; ++i) odd.push(i);
+  EXPECT_EQ(odd.size(), 50u);
+  EXPECT_LE(odd.reserved(), 50u);
+  // take() and clear() hand the storage back.
+  EXPECT_EQ(odd.take().front(), 450);
+  EXPECT_EQ(odd.reserved(), 0u);
+  ring.clear();
+  EXPECT_EQ(ring.reserved(), 0u);
+}
+
+TEST(UeHistoryTest, SlotsAreFoundAgainAcrossIndexGrowth) {
+  obs::UeHistory<int> history(3);
+  std::mt19937 rng(7);
+  std::vector<std::uint32_t> ues = {0, 1, 0xFFFFFFFFu, 0x80000000u};
+  for (int i = 0; i < 2000; ++i) ues.push_back(rng());
+  std::sort(ues.begin(), ues.end());
+  ues.erase(std::unique(ues.begin(), ues.end()), ues.end());
+  for (const std::uint32_t ue : ues) {
+    history.slot(ue).ring.push(static_cast<int>(ue & 0xFFFF));
+  }
+  EXPECT_EQ(history.size(), ues.size());
+  for (const std::uint32_t ue : ues) {
+    auto* s = history.find(ue);
+    ASSERT_NE(s, nullptr) << ue;
+    EXPECT_EQ(s->ue, ue);
+    EXPECT_EQ(s->ring.take(), (std::vector<int>{static_cast<int>(ue & 0xFFFF)}));
+  }
+  EXPECT_EQ(history.find(12345), nullptr);
+  // Iteration is first-seen order.
+  std::size_t i = 0;
+  for (const auto& s : history) EXPECT_EQ(s.ue, ues[i++]);
+}
+
+TEST(UeHistoryTest, HugeUeIdAllocatesNothingInProportionToIt) {
+  obs::UeHistory<int> history(64);
+  auto& slot = history.slot(0xFFFFFFFFu);
+  slot.ring.push(1);
+  EXPECT_EQ(history.size(), 1u);
+  // One slot, a 16-bucket index and a 4-element ring: well under 1 KiB.
+  EXPECT_LT(history.footprint_bytes(), 1024u);
+  EXPECT_EQ(history.find(0xFFFFFFFFu), &slot);
+}
+
+TEST(UeHistoryTest, FootprintFollowsEventsNotDepth) {
+  obs::UeHistory<int> history(64);
+  for (std::uint32_t ue = 1; ue <= 100; ++ue) history.slot(ue).ring.push(0);
+  const std::size_t one_each = history.footprint_bytes();
+  // 100 UEs × 64-deep reservation would be 25.6 KB of ring storage
+  // alone; one event each reserves 4 elements.
+  EXPECT_LT(one_each, 100 * 64 * sizeof(int));
+  for (std::uint32_t ue = 1; ue <= 100; ++ue) {
+    for (int i = 0; i < 200; ++i) history.slot(ue).ring.push(i);
+  }
+  std::size_t ring_storage = 0;
+  for (const auto& s : history) {
+    EXPECT_LE(s.ring.reserved(), 64u);
+    ring_storage += s.ring.reserved() * sizeof(int);
+  }
+  EXPECT_EQ(ring_storage, 100 * 64 * sizeof(int));
+}
+
+TEST(UeHistoryTest, ClearForgetsUesAndReusesSlots) {
+  obs::UeHistory<int> history(4);
+  for (std::uint32_t ue = 1; ue <= 50; ++ue) {
+    auto& s = history.slot(ue);
+    s.pinned = ue % 2 == 0;
+    for (int i = 0; i < 6; ++i) s.ring.push(i);
+  }
+  history.clear();
+  EXPECT_EQ(history.size(), 0u);
+  EXPECT_EQ(history.find(2), nullptr);
+  const std::size_t cleared = history.footprint_bytes();
+  for (std::uint32_t ue = 1; ue <= 50; ++ue) {
+    auto& s = history.slot(ue);
+    EXPECT_FALSE(s.pinned);  // flags do not survive a clear
+    EXPECT_TRUE(s.ring.empty());
+  }
+  // The 50 UEs land in the slot table and index kept from before.
+  EXPECT_EQ(history.footprint_bytes(), cleared);
+  EXPECT_EQ(history.size(), 50u);
 }
 
 // ------------------------------------------------------------- codec
@@ -416,6 +510,108 @@ TEST(TailRetention, ClearStartsAFreshCaptureKeepingThePolicy) {
   // UE 1's promotion did not survive the clear: it buffers again.
   fx.t.record_now(ue_event(1));
   EXPECT_TRUE(fx.t.events().empty());
+}
+
+/// A seeded stream over a few UEs (0 and 0xFFFFFFFF among them) with
+/// every retention trigger mixed in at a low rate.
+std::vector<Event> seeded_retention_stream(std::uint32_t seed, int n) {
+  std::mt19937 rng(seed);
+  const std::uint32_t ues[] = {0, 1, 2, 3, 5, 8, 13, 0xFFFFFFFFu};
+  std::vector<Event> out;
+  for (int i = 0; i < n; ++i) {
+    Event e = ue_event(ues[rng() % 8]);
+    const std::uint32_t roll = rng() % 100;
+    if (roll < 2) {
+      e.kind = EventKind::kTerminalFailure;
+    } else if (roll < 3) {
+      e.kind = EventKind::kPeerQuarantined;
+    } else if (roll < 6) {
+      e.kind = EventKind::kSloAlert;
+      e.ok = (rng() % 2) == 0;
+    } else {
+      e.kind = static_cast<EventKind>(rng() % 6);  // injected..recovered
+    }
+    e.cause = static_cast<std::uint8_t>(rng());
+    e.detail = "d" + std::to_string(rng() % 5);
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(TailRetention, SeededStreamMatchesMapAndDequeReference) {
+  constexpr std::size_t kDepth = 5;
+  const std::vector<Event> stream = seeded_retention_stream(2024, 3000);
+  const auto pins_after = [](std::size_t i) { return i % 997 == 0; };
+
+  // Stamp the stream once with retention off: the tracer assigns the
+  // same seq/span/parent either way.
+  TracerFixture fx;
+  fx.t.enable(true);
+  for (std::size_t i = 0; i < stream.size(); ++i) fx.t.record_now(stream[i]);
+  const std::vector<Event> stamped = fx.t.events();
+
+  // Reference: the ordered-container model retention was written as.
+  std::map<std::uint32_t, std::deque<Event>> rings;
+  std::set<std::uint32_t> retained;
+  obs::RetentionStats want;
+  obs::TlvSizer sizer;
+  std::vector<Event> want_events;
+  const auto pin = [&](std::uint32_t ue) {
+    if (!retained.insert(ue).second) return;
+    ++want.ues_retained;
+    const auto it = rings.find(ue);
+    if (it == rings.end()) return;
+    for (const Event& e : it->second) {
+      ++want.events_retained;
+      want.bytes_retained += sizer.add(e);
+      want_events.push_back(e);
+    }
+    rings.erase(it);
+  };
+  for (std::size_t i = 0; i < stamped.size(); ++i) {
+    const Event& e = stamped[i];
+    const bool trigger = e.kind == EventKind::kTerminalFailure ||
+                         e.kind == EventKind::kPeerQuarantined ||
+                         (e.kind == EventKind::kSloAlert && !e.ok);
+    if (retained.count(e.ue) == 0) {
+      if (!trigger) {
+        std::deque<Event>& ring = rings[e.ue];
+        ring.push_back(e);
+        if (ring.size() > kDepth) {
+          ring.pop_front();
+          ++want.events_aged_out;
+        }
+      } else {
+        pin(e.ue);
+      }
+    }
+    if (retained.count(e.ue) != 0) {
+      ++want.events_retained;
+      want.bytes_retained += sizer.add(e);
+      want_events.push_back(e);
+    }
+    if (pins_after(i)) pin(static_cast<std::uint32_t>(i % 4));
+  }
+  for (const auto& [ue, ring] : rings) want.events_aged_out += ring.size();
+
+  TracerFixture run;
+  obs::RetentionPolicy p;
+  p.ring_depth = kDepth;
+  run.t.set_retention(p);
+  run.t.enable(true);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    run.t.record_now(stream[i]);
+    if (pins_after(i)) run.t.pin_ue(static_cast<std::uint32_t>(i % 4));
+  }
+  run.t.seal_retention();
+  const obs::RetentionStats got = run.t.retention_stats();
+  EXPECT_GT(want.ues_retained, 3u);
+  EXPECT_GT(want.events_aged_out, 0u);
+  EXPECT_EQ(got.events_retained, want.events_retained);
+  EXPECT_EQ(got.events_aged_out, want.events_aged_out);
+  EXPECT_EQ(got.bytes_retained, want.bytes_retained);
+  EXPECT_EQ(got.ues_retained, want.ues_retained);
+  EXPECT_EQ(run.t.events(), want_events);  // promoted order, every field
 }
 
 TEST(TailRetention, ShardCountersLandInTheRegistry) {
