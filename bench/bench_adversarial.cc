@@ -15,7 +15,9 @@
 //     this bench too, giving the no-crash claim teeth)
 //   - 100% recovery of recoverable failures under the storm
 //   - deterministic mutation/reject/quarantine counts, byte-identical
-//     for any fleet worker count (jobs pre-sampled, merged in order)
+//     for any fleet worker count (Table 4's run list, run and tally:
+//     testbed::table1_runs, Testbed::run_table1, testbed::Table1Tally;
+//     runs merged in order)
 //
 // BENCH_adversarial.json is a single JSON object so the exact gates can
 // path into per-cell counters.
@@ -66,9 +68,8 @@ std::vector<CellSpec> make_cells() {
   return {clean, syntactic, storm};
 }
 
-struct RunOut {
-  Outcome out;
-  bool user_action_class = false;
+/// Per-run hardening counters, summed per cell.
+struct Counters {
   std::uint64_t injections = 0;
   std::uint64_t mutations = 0;      // semantic points only
   std::uint64_t decode_rejects = 0;
@@ -77,121 +78,83 @@ struct RunOut {
   std::uint64_t suspect_dropped = 0;
   std::uint64_t malformed_downlinks = 0;
   std::uint64_t applet_crashes = 0;
+
+  Counters& operator+=(const Counters& o) {
+    injections += o.injections;
+    mutations += o.mutations;
+    decode_rejects += o.decode_rejects;
+    malformed_rx += o.malformed_rx;
+    quarantine_drops += o.quarantine_drops;
+    suspect_dropped += o.suspect_dropped;
+    malformed_downlinks += o.malformed_downlinks;
+    applet_crashes += o.applet_crashes;
+    return *this;
+  }
+};
+
+struct RunOut {
+  Outcome out;
+  Counters c;
 };
 
 struct CellResult {
-  int total = 0;
-  int recovered = 0;
-  int user_action = 0;
-  metrics::Samples disruption;
-  std::uint64_t injections = 0;
-  std::uint64_t mutations = 0;
-  std::uint64_t decode_rejects = 0;
-  std::uint64_t malformed_rx = 0;
-  std::uint64_t quarantine_drops = 0;
-  std::uint64_t suspect_dropped = 0;
-  std::uint64_t malformed_downlinks = 0;
-  std::uint64_t applet_crashes = 0;
-
-  double recovery_rate() const {
-    // User-action failures (unauthorized / expired plan) are terminal by
-    // design in every scheme; the rate is over the recoverable runs.
-    const int recoverable = total - user_action;
-    return recoverable > 0 ? static_cast<double>(recovered) / recoverable
-                           : 1.0;
-  }
+  Table1Tally tally;
+  Counters c;
 };
 
 CellResult run_cell(const sim::FleetRunner& fleet, const CellSpec& cell,
                     std::uint64_t seed) {
-  struct Job {
-    SampledFailure f;
-    std::uint64_t tb_seed;
-  };
-  std::vector<Job> jobs;
-  sim::Rng mix_rng(seed);
-  for (int k = 0; k < kRuns; ++k) {
-    jobs.push_back(Job{sample_table1_failure(mix_rng),
-                       seed * 131 + static_cast<std::uint64_t>(k + 1)});
-  }
-
+  const std::vector<Table1Run> jobs = table1_runs(seed, kRuns);
   const auto outs = fleet.map<RunOut>(
       jobs.size(), [&](const sim::ShardInfo& info) {
-        const Job& job = jobs[info.index];
-        Testbed tb(job.tb_seed, device::Scheme::kSeedR);
-        if (job.f.control_plane && job.f.cp == CpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
-              proto::ResetAction::kB2CPlaneReattach;
-        }
-        if (!job.f.control_plane && job.f.dp == DpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
-              proto::ResetAction::kB3DPlaneReset;
-        }
+        Testbed tb(jobs[info.index].tb_seed, device::Scheme::kSeedR);
         if (cell.chaos) tb.enable_chaos(cell.config);
         tb.bring_up();
         RunOut r;
-        r.out = job.f.control_plane
-                    ? tb.run_cp_failure(job.f.cp, sim::minutes(40))
-                    : tb.run_dp_failure(job.f.dp, sim::minutes(80));
-        r.user_action_class =
-            r.out.user_action_required ||
-            (job.f.control_plane && job.f.cp == CpFailure::kUnauthorized) ||
-            (!job.f.control_plane && job.f.dp == DpFailure::kExpiredPlan);
+        r.out = tb.run_table1(jobs[info.index].f);
         if (tb.chaos() != nullptr) {
           const chaos::ChaosStats& cs = tb.chaos()->stats();
-          r.injections = cs.total();
-          r.mutations = cs.downlink_mutated + cs.uplink_mutated +
-                        cs.downlink_replayed + cs.unsolicited_injected;
+          r.c.injections = cs.total();
+          r.c.mutations = cs.downlink_mutated + cs.uplink_mutated +
+                          cs.downlink_replayed + cs.unsolicited_injected;
         }
         const corenet::CoreStats& core = tb.core().stats();
-        r.decode_rejects = core.decode_rejects;
-        r.malformed_rx = core.malformed_rx;
-        r.quarantine_drops = core.quarantine_drops;
-        r.suspect_dropped = core.suspect_reports_dropped;
+        r.c.decode_rejects = core.decode_rejects;
+        r.c.malformed_rx = core.malformed_rx;
+        r.c.quarantine_drops = core.quarantine_drops;
+        r.c.suspect_dropped = core.suspect_reports_dropped;
         const applet::AppletStats& ap = tb.dev().applet().stats();
-        r.malformed_downlinks = ap.malformed_downlinks;
-        r.applet_crashes = ap.applet_crashes;
+        r.c.malformed_downlinks = ap.malformed_downlinks;
+        r.c.applet_crashes = ap.applet_crashes;
         return r;
       });
 
   CellResult res;
-  for (const RunOut& r : outs) {
-    ++res.total;
-    res.injections += r.injections;
-    res.mutations += r.mutations;
-    res.decode_rejects += r.decode_rejects;
-    res.malformed_rx += r.malformed_rx;
-    res.quarantine_drops += r.quarantine_drops;
-    res.suspect_dropped += r.suspect_dropped;
-    res.malformed_downlinks += r.malformed_downlinks;
-    res.applet_crashes += r.applet_crashes;
-    if (r.out.recovered) {
-      ++res.recovered;
-      res.disruption.add(r.out.disruption_s);
-    } else if (r.user_action_class) {
-      ++res.user_action;
-    }
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    res.tally.add(jobs[i].f, outs[i].out);
+    res.c += outs[i].c;
   }
   return res;
 }
 
 void append_cell_json(std::ostream& os, const CellSpec& cell,
                       const CellResult& r) {
-  os << "\"" << cell.name << "\":{\"runs\":" << r.total
-     << ",\"recovered\":" << r.recovered
-     << ",\"user_action\":" << r.user_action
-     << ",\"recovery_rate\":" << r.recovery_rate()
-     << ",\"injections\":" << r.injections
-     << ",\"mutations\":" << r.mutations
-     << ",\"decode_rejects\":" << r.decode_rejects
-     << ",\"malformed_rx\":" << r.malformed_rx
-     << ",\"quarantine_drops\":" << r.quarantine_drops
-     << ",\"suspect_dropped\":" << r.suspect_dropped
-     << ",\"malformed_downlinks\":" << r.malformed_downlinks
-     << ",\"applet_crashes\":" << r.applet_crashes << ",\"disruption_s\":{"
-     << "\"p50\":" << r.disruption.median()
-     << ",\"p90\":" << r.disruption.percentile(90)
-     << ",\"p99\":" << r.disruption.percentile(99) << "}}";
+  const Table1Tally& t = r.tally;
+  os << "\"" << cell.name << "\":{\"runs\":" << t.total
+     << ",\"recovered\":" << t.recovered
+     << ",\"user_action\":" << t.user_action
+     << ",\"recovery_rate\":" << t.recovery_rate()
+     << ",\"injections\":" << r.c.injections
+     << ",\"mutations\":" << r.c.mutations
+     << ",\"decode_rejects\":" << r.c.decode_rejects
+     << ",\"malformed_rx\":" << r.c.malformed_rx
+     << ",\"quarantine_drops\":" << r.c.quarantine_drops
+     << ",\"suspect_dropped\":" << r.c.suspect_dropped
+     << ",\"malformed_downlinks\":" << r.c.malformed_downlinks
+     << ",\"applet_crashes\":" << r.c.applet_crashes << ",\"disruption_s\":{"
+     << "\"p50\":" << t.disruption.median()
+     << ",\"p90\":" << t.disruption.percentile(90)
+     << ",\"p99\":" << t.disruption.percentile(99) << "}}";
 }
 
 }  // namespace
@@ -222,20 +185,20 @@ int main(int argc, char** argv) {
     const std::uint64_t cell_seed =
         kSeed + static_cast<std::uint64_t>(&cell - cells.data()) * 1000;
     const CellResult r = run_cell(fleet, cell, cell_seed);
-    if (!cell.chaos) clean_median = r.disruption.median();
+    const metrics::Samples& d = r.tally.disruption;
+    if (!cell.chaos) clean_median = d.median();
     if (!first) json << ",";
     first = false;
     append_cell_json(json, cell, r);
-    t.row({cell.name, metrics::Table::pct(r.recovery_rate(), 1),
-           metrics::Table::num(r.disruption.median(), 1),
-           metrics::Table::num(r.disruption.percentile(99), 1),
-           std::to_string(r.mutations), std::to_string(r.malformed_rx),
-           std::to_string(r.quarantine_drops),
-           std::to_string(r.applet_crashes)});
+    t.row({cell.name, metrics::Table::pct(r.tally.recovery_rate(), 1),
+           metrics::Table::num(d.median(), 1),
+           metrics::Table::num(d.percentile(99), 1),
+           std::to_string(r.c.mutations), std::to_string(r.c.malformed_rx),
+           std::to_string(r.c.quarantine_drops),
+           std::to_string(r.c.applet_crashes)});
     if (cell.chaos && clean_median > 0.0) {
       std::cout << "  [" << cell.name << "] median/clean = "
-                << metrics::Table::num(r.disruption.median() / clean_median,
-                                       2)
+                << metrics::Table::num(d.median() / clean_median, 2)
                 << "x (acceptance bound 3x)\n";
     }
   }

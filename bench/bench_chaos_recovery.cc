@@ -7,9 +7,10 @@
 //
 // p = 0 runs without a chaos engine at all — the unimpaired baseline the
 // acceptance bound (impaired disruption <= 3x baseline at p = 0.1) is
-// measured against. Like the other fleet benches, the failure mix is
-// pre-sampled sequentially and the runs fan out over the FleetRunner
-// pool, so the output is byte-identical for any thread count.
+// measured against. The run list, the run and the tally are Table 4's
+// (testbed::table1_runs, Testbed::run_table1, testbed::Table1Tally);
+// the runs fan out over the FleetRunner pool and fold back in order, so
+// the output is byte-identical for any thread count.
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -39,93 +40,50 @@ chaos::ChaosConfig impairment(double p) {
 }
 
 struct CellResult {
-  int total = 0;
-  int recovered = 0;
-  int user_action = 0;
-  metrics::Samples disruption;
+  Table1Tally tally;
   std::uint64_t injections = 0;
-
-  double recovery_rate() const {
-    // User-action failures (unauthorized / expired plan) are terminal by
-    // design in every scheme; the rate is over the recoverable runs.
-    const int recoverable = total - user_action;
-    return recoverable > 0
-               ? static_cast<double>(recovered) / recoverable
-               : 1.0;
-  }
 };
 
 struct RunOut {
   Outcome out;
-  bool user_action_class = false;
   std::uint64_t injections = 0;
 };
 
 CellResult run_cell(const sim::FleetRunner& fleet, device::Scheme scheme,
                     double p, std::uint64_t seed) {
-  struct Job {
-    SampledFailure f;
-    std::uint64_t tb_seed;
-  };
-  std::vector<Job> jobs;
-  sim::Rng mix_rng(seed);
-  for (int k = 0; k < kRuns; ++k) {
-    jobs.push_back(Job{sample_table1_failure(mix_rng),
-                       seed * 131 + static_cast<std::uint64_t>(k + 1)});
-  }
-
+  const std::vector<Table1Run> jobs = table1_runs(seed, kRuns);
   const auto outs = fleet.map<RunOut>(
       jobs.size(), [&](const sim::ShardInfo& info) {
-        const Job& job = jobs[info.index];
-        Testbed tb(job.tb_seed, scheme);
-        if (job.f.control_plane && job.f.cp == CpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
-              proto::ResetAction::kB2CPlaneReattach;
-        }
-        if (!job.f.control_plane && job.f.dp == DpFailure::kCustomUnknown) {
-          tb.core().faults().custom_action_known =
-              proto::ResetAction::kB3DPlaneReset;
-        }
+        Testbed tb(jobs[info.index].tb_seed, scheme);
         if (p > 0.0) tb.enable_chaos(impairment(p));
         tb.bring_up();
         RunOut r;
-        r.out = job.f.control_plane
-                    ? tb.run_cp_failure(job.f.cp, sim::minutes(40))
-                    : tb.run_dp_failure(job.f.dp, sim::minutes(80));
-        r.user_action_class =
-            r.out.user_action_required ||
-            (job.f.control_plane && job.f.cp == CpFailure::kUnauthorized) ||
-            (!job.f.control_plane && job.f.dp == DpFailure::kExpiredPlan);
+        r.out = tb.run_table1(jobs[info.index].f);
         if (tb.chaos() != nullptr) r.injections = tb.chaos()->stats().total();
         return r;
       });
 
   CellResult res;
-  for (const RunOut& r : outs) {
-    ++res.total;
-    res.injections += r.injections;
-    if (r.out.recovered) {
-      ++res.recovered;
-      res.disruption.add(r.out.disruption_s);
-    } else if (r.user_action_class) {
-      ++res.user_action;
-    }
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    res.tally.add(jobs[i].f, outs[i].out);
+    res.injections += outs[i].injections;
   }
   return res;
 }
 
 void append_json(std::ostream& os, const char* scheme, double p,
                  const CellResult& r) {
+  const Table1Tally& t = r.tally;
   os << "{\"bench\":\"chaos_recovery\",\"scheme\":\"" << scheme
-     << "\",\"impair_p\":" << p << ",\"runs\":" << r.total
-     << ",\"recovered\":" << r.recovered
-     << ",\"user_action\":" << r.user_action
-     << ",\"recovery_rate\":" << r.recovery_rate()
+     << "\",\"impair_p\":" << p << ",\"runs\":" << t.total
+     << ",\"recovered\":" << t.recovered
+     << ",\"user_action\":" << t.user_action
+     << ",\"recovery_rate\":" << t.recovery_rate()
      << ",\"injections\":" << r.injections << ",\"disruption_s\":{"
-     << "\"p10\":" << r.disruption.percentile(10)
-     << ",\"p50\":" << r.disruption.median()
-     << ",\"p90\":" << r.disruption.percentile(90)
-     << ",\"p99\":" << r.disruption.percentile(99) << "}}\n";
+     << "\"p10\":" << t.disruption.percentile(10)
+     << ",\"p50\":" << t.disruption.median()
+     << ",\"p90\":" << t.disruption.percentile(90)
+     << ",\"p99\":" << t.disruption.percentile(99) << "}}\n";
 }
 
 }  // namespace
@@ -164,18 +122,18 @@ int main(int argc, char** argv) {
           kSeed + static_cast<std::uint64_t>(&c - cells) * 1000 +
           static_cast<std::uint64_t>(p * 100);
       const CellResult r = run_cell(fleet, c.scheme, p, cell_seed);
-      if (p == 0.0) baseline_median = r.disruption.median();
+      const metrics::Samples& d = r.tally.disruption;
+      if (p == 0.0) baseline_median = d.median();
       append_json(json, c.name, p, r);
       t.row({c.name, metrics::Table::num(p, 2),
-             metrics::Table::pct(r.recovery_rate(), 1),
-             metrics::Table::num(r.disruption.median(), 1),
-             metrics::Table::num(r.disruption.percentile(90), 1),
-             metrics::Table::num(r.disruption.percentile(99), 1),
+             metrics::Table::pct(r.tally.recovery_rate(), 1),
+             metrics::Table::num(d.median(), 1),
+             metrics::Table::num(d.percentile(90), 1),
+             metrics::Table::num(d.percentile(99), 1),
              std::to_string(r.injections)});
       if (p == 0.10 && baseline_median > 0.0) {
         std::cout << "  [" << c.name << "] p=0.10 median/baseline = "
-                  << metrics::Table::num(
-                         r.disruption.median() / baseline_median, 2)
+                  << metrics::Table::num(d.median() / baseline_median, 2)
                   << "x (acceptance bound 3x)\n";
       }
     }

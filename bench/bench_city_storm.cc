@@ -1,6 +1,7 @@
 // City-scale failure storm: 1k UEs on one core, the Table 1 failure mix
 // injected continuously plus a rolling congestion wave sweeping the
-// cells, with the shared Fig. 8 diagnosis cache on. Reports simulated
+// cells (MultiTestbed::run_storm, which CityWorkload's shards run too),
+// with the shared Fig. 8 diagnosis cache on. Reports simulated
 // event throughput (events/s of wall time) and the diagnosis-cache hit
 // rate — how far one core's SEED plugin amortizes across a city.
 //
@@ -21,7 +22,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -41,16 +41,6 @@ using namespace seed;
 
 namespace {
 
-long long arg_of(int argc, char** argv, const char* key, long long fallback) {
-  const std::size_t n = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return std::strtoll(argv[i] + n + 1, nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
 /// 64-bit FNV-1a over a byte string (the blackbox digest).
 std::uint64_t fnv1a64(const std::string& bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -61,39 +51,23 @@ std::uint64_t fnv1a64(const std::string& bytes) {
   return h;
 }
 
-bool flag_of(int argc, char** argv, const char* key) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) return true;
-  }
-  return false;
-}
-
-const char* str_of(int argc, char** argv, const char* key) {
-  const std::size_t n = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return argv[i] + n + 1;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using benchutil::arg_of;
   const auto n_ues = static_cast<std::size_t>(arg_of(argc, argv, "--ues",
                                                      1000));
   const auto seed = static_cast<std::uint64_t>(arg_of(argc, argv, "--seed",
                                                       42));
   const auto storm_min = arg_of(argc, argv, "--storm-min", 10);
-  const bool cache_on = !flag_of(argc, argv, "--no-cache");
-  const char* trace_path = str_of(argc, argv, "--trace");
-  const char* blackbox_path = str_of(argc, argv, "--blackbox");
+  const bool cache_on = !benchutil::flag_of(argc, argv, "--no-cache");
+  const char* trace_path = benchutil::str_of(argc, argv, "--trace");
+  const char* blackbox_path = benchutil::str_of(argc, argv, "--blackbox");
 
   obs::Registry::instance().clear();
   obs::Registry::instance().enable(true);
-  // Per-UE label series (core.rejects{ue=N}) would mint 1k series; cap
-  // the cardinality and let the overflow bucket absorb the tail.
+  // Cap the label-series cardinality (seed.reject.cplane{cause=N} and
+  // kin); an overflow bucket would absorb any tail past the cap.
   obs::Registry::instance().set_series_limit(256);
   // The health engine and flight recorder tap the tracer, so tracing is
   // always on; --trace only controls whether the raw stream is dumped.
@@ -117,33 +91,14 @@ int main(int argc, char** argv) {
   std::cout << "  fleet healthy after " << events_after_bringup
             << " simulated events\n";
 
-  // ---- the storm: every UE draws failures from the Table 1 mix at an
-  // exponential-ish cadence, and a congestion wave rolls over 5% of the
-  // city every 30 s.
-  auto& sim = city.simulator();
-  auto& rng = city.rng();
-  city.start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.05);
-
-  const auto storm_end = sim.now() + sim::minutes(storm_min);
-  // Mean one injection per UE per 2 simulated minutes: with 1k UEs that
-  // is ~8 injections/s citywide, far denser than any real cell ever sees.
-  const double mean_gap_s = 120.0;
-  std::uint64_t injections = 0;
-  while (sim.now() < storm_end) {
-    const auto ue = static_cast<corenet::UeId>(
-        rng.uniform_int(0, static_cast<int>(n_ues) - 1));
-    city.inject_sampled(ue);
-    ++injections;
-    const double gap = rng.uniform(0.0, 2.0 * mean_gap_s /
-                                            static_cast<double>(n_ues));
-    sim.run_for(sim::secs_f(gap));
-  }
-  // Drain: give in-flight recoveries time to settle.
-  sim.run_for(sim::minutes(3));
+  // ---- the storm (MultiTestbed::run_storm): the Table 1 mix on random
+  // UEs plus a congestion wave rolling over 5% of the city every 30 s.
+  const std::uint64_t injections = city.run_storm(sim::minutes(storm_min));
 
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall0)
                             .count();
+  auto& sim = city.simulator();
   const std::uint64_t events = sim.events_processed();
   const std::size_t healthy = city.healthy_count();
   const auto& cs = city.core().stats();

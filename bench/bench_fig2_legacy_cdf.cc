@@ -17,15 +17,14 @@ int main() {
   sim::Rng mix_rng(kSeed);
   for (int i = 0; i < kRunsPerPlane * 2; ++i) {
     const SampledFailure f = sample_table1_failure(mix_rng);
+    if (needs_user_action(f)) continue;  // no recovery path
     Testbed tb(kSeed + 1000 + static_cast<std::uint64_t>(i),
                device::Scheme::kLegacy);
     tb.bring_up();
     if (f.control_plane) {
-      if (f.cp == CpFailure::kUnauthorized) continue;  // no recovery path
       const Outcome out = tb.run_cp_failure(f.cp, sim::minutes(40));
       if (out.recovered) cp.add(out.disruption_s);
     } else {
-      if (f.dp == DpFailure::kExpiredPlan) continue;
       const Outcome out = tb.run_dp_failure(f.dp, sim::minutes(80));
       if (out.recovered) dp.add(out.disruption_s);
     }

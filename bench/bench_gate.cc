@@ -14,7 +14,6 @@
 // currently on disk (tolerances kept) — run it after an intentional perf
 // or workload change and commit the diff.
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -23,26 +22,9 @@
 #include <vector>
 
 #include "common/perf_gate.h"
+#include "fleet_bench.h"
 
 namespace {
-
-const char* str_arg(int argc, char** argv, const char* key,
-                    const char* fallback) {
-  const std::size_t n = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
-      return argv[i] + n + 1;
-    }
-  }
-  return fallback;
-}
-
-bool flag_arg(int argc, char** argv, const char* key) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) return true;
-  }
-  return false;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -58,10 +40,12 @@ std::string read_file(const std::string& path) {
 
 int main(int argc, char** argv) {
   using seed::minijson::Value;
+  using seed::benchutil::flag_of;
+  using seed::benchutil::str_of;
   const std::string baseline_path =
-      str_arg(argc, argv, "--baseline", "perf_baseline.json");
-  const std::string dir = str_arg(argc, argv, "--dir", ".");
-  const bool update = flag_arg(argc, argv, "--update-baseline");
+      str_of(argc, argv, "--baseline", "perf_baseline.json");
+  const std::string dir = str_of(argc, argv, "--dir", ".");
+  const bool update = flag_of(argc, argv, "--update-baseline");
 
   std::vector<seed::gate::GateSpec> gates;
   try {

@@ -1,5 +1,5 @@
-// Shared plumbing for fleet benches: thread-count selection and the
-// BENCH_fleet.json wall-clock trail.
+// Shared plumbing for the benches: argv helpers, fleet thread-count
+// selection and the BENCH_fleet.json wall-clock trail.
 //
 // Thread count resolution order: SEED_FLEET_THREADS env var, then a
 // `--threads=N` argument, then hardware_concurrency — so CI and the
@@ -8,6 +8,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -16,15 +17,38 @@
 
 namespace seed::benchutil {
 
-inline std::size_t fleet_threads(int argc, char** argv) {
-  if (const std::size_t env = sim::fleet_threads_from_env(0)) return env;
+/// Value of a `key=value` argument (`key` without the '='), or
+/// `fallback` when absent.
+inline const char* str_of(int argc, char** argv, const char* key,
+                          const char* fallback = nullptr) {
+  const std::size_t n = std::strlen(key);
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const long v = std::strtol(argv[i] + 10, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
+    if (std::strncmp(argv[i], key, n) == 0 && argv[i][n] == '=') {
+      return argv[i] + n + 1;
     }
   }
-  return 0;  // FleetRunner: hardware_concurrency
+  return fallback;
+}
+
+/// Integer value of a `key=value` argument, or `fallback` when absent.
+inline long long arg_of(int argc, char** argv, const char* key,
+                        long long fallback) {
+  const char* v = str_of(argc, argv, key);
+  return v != nullptr ? std::strtoll(v, nullptr, 10) : fallback;
+}
+
+/// True when the bare argument `key` is present.
+inline bool flag_of(int argc, char** argv, const char* key) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], key) == 0) return true;
+  }
+  return false;
+}
+
+inline std::size_t fleet_threads(int argc, char** argv) {
+  if (const std::size_t env = sim::fleet_threads_from_env(0)) return env;
+  const long long v = arg_of(argc, argv, "--threads", 0);
+  return v > 0 ? static_cast<std::size_t>(v) : 0;  // 0: hardware_concurrency
 }
 
 /// Wall-clock stopwatch that appends one JSON line per bench run to

@@ -188,10 +188,6 @@ void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
   ++stats_.malformed_rx;
   ++ue.stats.malformed_rx;
   ++ue.malformed_count;
-  auto& reg = obs::Registry::instance();
-  if (reg.enabled()) {
-    reg.counter(obs::ue_series("core.malformed", ue.id)).inc();
-  }
   if (obs::enabled()) {
     // The infra's diagnosis of this input: adversarial, reject it. One
     // verdict per malformed frame joins the poisoning injection's label.
@@ -208,9 +204,6 @@ void CoreNetwork::note_malformed(UeContext& ue, const char* what) {
   ue.muted_until = sim_.now() + mute;
   obs::emit_peer_quarantined(static_cast<std::uint8_t>(
       std::min<std::uint32_t>(ue.malformed_strikes, 255)));
-  if (reg.enabled()) {
-    reg.counter(obs::ue_series("core.quarantined", ue.id)).inc();
-  }
   SLOG(kWarn, "core") << "UE " << ue.id << " quarantined (" << what
                       << ", strike " << ue.malformed_strikes << ", muted "
                       << sim::to_seconds(mute) << "s)";
@@ -390,11 +383,6 @@ void CoreNetwork::reject_registration(UeContext& ue, std::uint8_t cause,
                                       std::optional<std::uint32_t> t3502) {
   ++stats_.rejects_sent;
   ++ue.stats.rejects_sent;
-  if (obs::Registry::instance().enabled()) {
-    // Per-UE series: unbounded at city scale, so fleet callers cap the
-    // registry (Registry::set_series_limit) and overflow aggregates.
-    obs::count(obs::ue_series("core.rejects", ue.id));
-  }
   cpu_.charge("failure", params::kCoreCostPerFailure);
   nas::RegistrationReject rej;
   rej.cause = cause;
@@ -442,9 +430,6 @@ void CoreNetwork::handle_pdu_request(
       // falls back to the local plan (graceful degradation, DESIGN.md).
       ++stats_.quarantine_drops;
       ++ue.stats.quarantine_drops;
-      if (obs::Registry::instance().enabled()) {
-        obs::count(obs::ue_series("core.quarantine_drops", ue.id));
-      }
       return;
     }
     const auto frame = ue.report_reassembler.feed_view(m.dnn);
@@ -583,9 +568,6 @@ void CoreNetwork::reject_pdu(UeContext& ue, const nas::SmHeader& hdr,
                              std::optional<std::uint32_t> backoff) {
   ++stats_.rejects_sent;
   ++ue.stats.rejects_sent;
-  if (obs::Registry::instance().enabled()) {
-    obs::count(obs::ue_series("core.rejects", ue.id));
-  }
   cpu_.charge("failure", params::kCoreCostPerFailure);
   nas::PduSessionEstablishmentReject rej;
   rej.hdr = hdr;
@@ -750,9 +732,6 @@ void CoreNetwork::assist(UeContext& ue, const core::FailureEvent& event) {
     // gracefully instead of stalling.
     ++stats_.quarantine_drops;
     ++ue.stats.quarantine_drops;
-    if (obs::Registry::instance().enabled()) {
-      obs::count(obs::ue_series("core.quarantine_drops", ue.id));
-    }
     return;
   }
   cpu_.charge("diagnosis", params::kCoreCostPerDiagnosis);
@@ -863,9 +842,6 @@ void CoreNetwork::handle_diag_report(UeContext& ue,
     ++stats_.suspect_reports_dropped;
     ++ue.stats.suspect_reports_dropped;
     obs::emit_suspect_report_dropped();
-    if (obs::Registry::instance().enabled()) {
-      obs::count(obs::ue_series("core.suspect_dropped", ue.id));
-    }
     return;
   }
   SLOG(kDebug, "core") << "uplink diagnosis report received (type "
@@ -960,9 +936,6 @@ void CoreNetwork::upload_sim_records(
     ++stats_.suspect_reports_dropped;
     ++ue.stats.suspect_reports_dropped;
     obs::emit_suspect_report_dropped();
-    if (obs::Registry::instance().enabled()) {
-      obs::count(obs::ue_series("core.suspect_dropped", ue.id));
-    }
     return;
   }
   if (learner_ != nullptr) learner_->absorb(e);

@@ -165,11 +165,6 @@ inline std::string label_series(std::string_view name, std::string_view label,
   return s;
 }
 
-/// Per-UE series name ("fleet.injections{ue=7}").
-inline std::string ue_series(std::string_view name, std::uint32_t ue) {
-  return label_series(name, "ue", std::to_string(ue));
-}
-
 /// Installs a Simulator probe exporting event-loop gauges
 /// (`seed.sim.queue_depth`, `seed.sim.events_processed`) and a queue-depth
 /// histogram, sampled every `every_n` processed events.

@@ -1,10 +1,10 @@
 // The sharded city-storm workload behind BENCH_city.json's sampled
 // 10k-UE section — the metro-scale trace-plane proof.
 //
-// A fixed number of shards, each a MultiTestbed mini-storm seeded by
-// shard_seed(base_seed, shard): the Table 1 failure mix at one injection
-// per UE per 2 simulated minutes, a rolling congestion wave, a per-shard
-// health engine, and the tracer running under tail-based retention.
+// A fixed number of shards, each a MultiTestbed seeded by
+// shard_seed(base_seed, shard) running the city storm of
+// bench_city_storm (MultiTestbed::run_storm) on its own UEs, with a
+// per-shard health engine and the tracer under tail-based retention.
 // Captures fold back in shard order through obs::merge_shard_obs, so the
 // merged event stream — and therefore its binary export — is
 // byte-identical for ANY worker count; the summed RetentionStats prove

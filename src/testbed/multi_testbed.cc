@@ -170,7 +170,6 @@ void MultiTestbed::inject_cp(corenet::UeId ue, CpFailure f) {
   }
 
   obs::emit_failure_injected(0, 0);
-  obs::count(obs::ue_series("fleet.injections", ue + 1));
   dev.modem().trigger_reattach();
 }
 
@@ -237,7 +236,6 @@ void MultiTestbed::inject_dp(corenet::UeId ue, DpFailure f) {
   }
 
   obs::emit_failure_injected(1, 0);
-  obs::count(obs::ue_series("fleet.injections", ue + 1));
   core_->drop_sessions(ue);
   dev.modem().restart_data_session();
 }
@@ -290,7 +288,6 @@ void MultiTestbed::inject_delivery(corenet::UeId ue, DeliveryFailure f) {
       return;
   }
   obs::emit_failure_injected(1, 0);
-  obs::count(obs::ue_series("fleet.injections", ue + 1));
   // An app daemon notices the dead flow and files a report through the
   // SEED report API (detection latency itself is Fig. 3's experiment).
   // SEED-U applets decide locally; SEED-R applets forward the report
@@ -344,6 +341,25 @@ void MultiTestbed::start_rolling_congestion(sim::Duration period,
                                             sim::Duration dwell,
                                             double fraction) {
   congestion_wave(period, dwell, fraction, 0);
+}
+
+std::uint64_t MultiTestbed::run_storm(sim::Duration length) {
+  start_rolling_congestion(sim::seconds(30), sim::seconds(12), 0.05);
+  const auto storm_end = sim_.now() + length;
+  // Mean one injection per UE per 2 simulated minutes: with 1k UEs that
+  // is ~8 injections/s citywide, far denser than any real cell ever sees.
+  const double mean_gap_s = 120.0;
+  const auto n_ues = static_cast<double>(slots_.size());
+  std::uint64_t injections = 0;
+  while (sim_.now() < storm_end) {
+    const auto ue = static_cast<corenet::UeId>(
+        rng_.uniform_int(0, static_cast<int>(slots_.size()) - 1));
+    inject_sampled(ue);
+    ++injections;
+    sim_.run_for(sim::secs_f(rng_.uniform(0.0, 2.0 * mean_gap_s / n_ues)));
+  }
+  sim_.run_for(sim::minutes(3));
+  return injections;
 }
 
 void MultiTestbed::congestion_wave(sim::Duration period, sim::Duration dwell,

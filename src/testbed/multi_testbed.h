@@ -88,6 +88,13 @@ class MultiTestbed {
   void start_rolling_congestion(sim::Duration period, sim::Duration dwell,
                                 double fraction);
 
+  /// The city storm of bench_city_storm and CityWorkload: a rolling
+  /// congestion wave (5% of the fleet for 12 s every 30 s), inject_sampled
+  /// on a random UE at one injection per UE per 2 simulated minutes for
+  /// `length`, then a 3-minute drain for in-flight recoveries. The
+  /// schedule comes from the testbed RNG. Returns the injection count.
+  std::uint64_t run_storm(sim::Duration length);
+
   std::size_t healthy_count() const;
   std::size_t ue_count() const { return slots_.size(); }
 

@@ -296,6 +296,20 @@ Outcome Testbed::run_dp_failure(DpFailure f, sim::Duration timeout) {
   return out;
 }
 
+Outcome Testbed::run_table1(const SampledFailure& f) {
+  if (f.control_plane) {
+    if (f.cp == CpFailure::kCustomUnknown) {
+      core_->faults().custom_action_known =
+          proto::ResetAction::kB2CPlaneReattach;
+    }
+    return run_cp_failure(f.cp);
+  }
+  if (f.dp == DpFailure::kCustomUnknown) {
+    core_->faults().custom_action_known = proto::ResetAction::kB3DPlaneReset;
+  }
+  return run_dp_failure(f.dp);
+}
+
 Outcome Testbed::run_delivery_failure(DeliveryFailure f,
                                       sim::Duration timeout,
                                       bool immediate_detection) {
@@ -428,6 +442,41 @@ SampledFailure sample_table1_failure(sim::Rng& rng) {
     }
   }
   return out;
+}
+
+bool needs_user_action(const SampledFailure& f) {
+  return f.control_plane ? f.cp == CpFailure::kUnauthorized
+                         : f.dp == DpFailure::kExpiredPlan;
+}
+
+std::vector<Table1Run> table1_runs(std::uint64_t seed, int runs,
+                                   std::optional<nas::Plane> plane) {
+  std::vector<Table1Run> out;
+  sim::Rng mix_rng(seed);
+  while (out.size() < static_cast<std::size_t>(runs)) {
+    const SampledFailure f = sample_table1_failure(mix_rng);
+    if (plane && f.control_plane != (*plane == nas::Plane::kControl)) {
+      continue;
+    }
+    out.push_back(Table1Run{f, seed * 131 + (out.size() + 1)});
+  }
+  return out;
+}
+
+void Table1Tally::add(const SampledFailure& f, const Outcome& out) {
+  ++total;
+  if (out.recovered) {
+    ++recovered;
+    disruption.add(out.disruption_s);
+  } else if (out.user_action_required || needs_user_action(f)) {
+    ++user_action;
+  }
+}
+
+double Table1Tally::recovery_rate() const {
+  const int recoverable = total - user_action;
+  return recoverable > 0 ? static_cast<double>(recovered) / recoverable
+                         : 1.0;
 }
 
 }  // namespace seed::testbed

@@ -7,11 +7,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "chaos/chaos.h"
 #include "corenet/core_network.h"
 #include "device/device.h"
 #include "metrics/meters.h"
+#include "metrics/stats.h"
 #include "ran/gnb.h"
 #include "seed/online_learning.h"
 #include "simcore/rng.h"
@@ -55,6 +57,46 @@ struct Outcome {
   bool user_action_required = false;
 };
 
+/// A (plane-tagged) failure scenario drawn from the empirical Table 1
+/// cause mix; used by the trace-replay benches.
+struct SampledFailure {
+  bool control_plane = true;
+  CpFailure cp = CpFailure::kTransientStateMismatch;
+  DpFailure dp = DpFailure::kOutdatedDnn;
+};
+SampledFailure sample_table1_failure(sim::Rng& rng);
+
+/// True for the Table 1 causes no scheme recovers from: an unauthorized
+/// subscriber or an expired plan needs the user to act (§7.1.1).
+bool needs_user_action(const SampledFailure& f);
+
+/// One run of a Table-1 experiment: the failure and its testbed seed.
+struct Table1Run {
+  SampledFailure f;
+  std::uint64_t tb_seed = 0;
+};
+
+/// The run list shared by Table 4, the §7.1.1 coverage line and the
+/// chaos/adversarial cells. The mix is drawn from Rng(seed); every draw
+/// is consumed, but with `plane` set only samples of that plane are
+/// kept. The k-th kept sample (1-based) runs under testbed seed
+/// seed * 131 + k.
+std::vector<Table1Run> table1_runs(std::uint64_t seed, int runs,
+                                   std::optional<nas::Plane> plane = {});
+
+/// Outcome counts over Table-1 runs.
+struct Table1Tally {
+  int total = 0;
+  int recovered = 0;
+  int user_action = 0;  // unrecovered and a user-action case
+  metrics::Samples disruption;  // recovered runs only
+
+  void add(const SampledFailure& f, const Outcome& out);
+  /// Recovered share of the runs that can recover: user-action failures
+  /// are terminal by design in every scheme. 1 when none can.
+  double recovery_rate() const;
+};
+
 class Testbed {
  public:
   Testbed(std::uint64_t seed, Scheme scheme);
@@ -67,6 +109,11 @@ class Testbed {
                          sim::Duration timeout = sim::minutes(40));
   Outcome run_dp_failure(DpFailure f,
                          sim::Duration timeout = sim::minutes(80));
+  /// One Table-1 run (call after bring_up()): an operator-custom cause
+  /// carries the operator-known action of the Table 4 mixture (B2 on the
+  /// control plane, B3 on the data plane, §5.2; pure-unknown learning is
+  /// §7.2.4), then the failure runs to its plane's default timeout.
+  Outcome run_table1(const SampledFailure& f);
   Outcome run_delivery_failure(DeliveryFailure f,
                                sim::Duration timeout = sim::minutes(40),
                                bool immediate_detection = true);
@@ -126,14 +173,5 @@ class Testbed {
   std::uint64_t seed_;
   std::unique_ptr<chaos::ChaosEngine> chaos_;
 };
-
-/// Samples a (plane-tagged) failure scenario according to the empirical
-/// Table 1 cause mix; used by the trace-replay benches.
-struct SampledFailure {
-  bool control_plane = true;
-  CpFailure cp = CpFailure::kTransientStateMismatch;
-  DpFailure dp = DpFailure::kOutdatedDnn;
-};
-SampledFailure sample_table1_failure(sim::Rng& rng);
 
 }  // namespace seed::testbed

@@ -338,7 +338,7 @@ TEST_F(ObsTest, RegistryCapsLabelCardinality) {
   r.enable(true);
   r.set_series_limit(2);
   for (std::uint32_t ue = 1; ue <= 5; ++ue) {
-    r.counter(ue_series("core.rejects", ue)).inc();
+    r.counter(label_series("core.rejects", "ue", std::to_string(ue))).inc();
   }
   // First two label values got their own series; the other three routed
   // to the shared overflow bucket and were counted as dropped.
@@ -347,13 +347,13 @@ TEST_F(ObsTest, RegistryCapsLabelCardinality) {
   EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 3u);
   EXPECT_EQ(r.series_dropped(), 3u);
   // Existing overflowed series stay routed on later increments.
-  r.counter(ue_series("core.rejects", 4)).inc();
+  r.counter(label_series("core.rejects", "ue", "4")).inc();
   EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 4u);
   // Admitted series are unaffected.
-  r.counter(ue_series("core.rejects", 1)).inc();
+  r.counter(label_series("core.rejects", "ue", "1")).inc();
   EXPECT_EQ(r.counter("core.rejects{ue=1}").value(), 2u);
   // Each base name has its own budget; unlabeled metrics are never capped.
-  r.counter(ue_series("fleet.injections", 9)).inc();
+  r.counter(label_series("fleet.injections", "ue", "9")).inc();
   EXPECT_EQ(r.counter("fleet.injections{ue=9}").value(), 1u);
   r.counter("plain.counter").inc();
   EXPECT_EQ(r.counter("plain.counter").value(), 1u);
@@ -364,15 +364,16 @@ TEST_F(ObsTest, RegistryOverflowRoutingSurvivesSnapshotAndClear) {
   Registry& r = Registry::instance();
   r.enable(true);
   r.set_series_limit(1);
-  r.counter(ue_series("core.rejects", 1)).inc();
-  r.counter(ue_series("core.rejects", 2)).inc();  // first overflow
-  r.histogram(ue_series("core.rejects", 3)).observe(1.0);  // other family
-  EXPECT_EQ(&r.counter(ue_series("core.rejects", 5)),
+  r.counter(label_series("core.rejects", "ue", "1")).inc();
+  r.counter(label_series("core.rejects", "ue", "2")).inc();  // first overflow
+  // Another metric family under the same base name.
+  r.histogram(label_series("core.rejects", "ue", "3")).observe(1.0);
+  EXPECT_EQ(&r.counter(label_series("core.rejects", "ue", "5")),
             &r.counter("core.rejects{overflow}"));
   // A snapshot routes over-cap series into its own maps, never into the
   // registry it was copied from.
   Registry snap = r.snapshot();
-  snap.counter(ue_series("core.rejects", 7)).inc(10);
+  snap.counter(label_series("core.rejects", "ue", "7")).inc(10);
   EXPECT_EQ(snap.counter("core.rejects{overflow}").value(), 11u);
   EXPECT_EQ(snap.series_dropped(), 4u);
   EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 1u);
@@ -380,8 +381,8 @@ TEST_F(ObsTest, RegistryOverflowRoutingSurvivesSnapshotAndClear) {
   EXPECT_EQ(r.histogram("core.rejects{overflow}").samples().count(), 1u);
   // clear() resets the budgets along with the series.
   r.clear();
-  r.counter(ue_series("core.rejects", 1)).inc();
-  r.counter(ue_series("core.rejects", 2)).inc();
+  r.counter(label_series("core.rejects", "ue", "1")).inc();
+  r.counter(label_series("core.rejects", "ue", "2")).inc();
   EXPECT_EQ(r.counter("core.rejects{overflow}").value(), 1u);
   EXPECT_EQ(r.series_dropped(), 1u);
   r.set_series_limit(0);
@@ -392,7 +393,7 @@ TEST_F(ObsTest, RegistrySeriesLimitZeroIsUnlimited) {
   r.enable(true);
   ASSERT_EQ(r.series_limit(), 0u);
   for (std::uint32_t ue = 1; ue <= 64; ++ue) {
-    r.counter(ue_series("core.rejects", ue)).inc();
+    r.counter(label_series("core.rejects", "ue", std::to_string(ue))).inc();
   }
   EXPECT_EQ(r.series_dropped(), 0u);
   EXPECT_EQ(r.counter("core.rejects{ue=64}").value(), 1u);

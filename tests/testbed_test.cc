@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/params.h"
 #include "testbed/testbed.h"
 
@@ -290,6 +293,109 @@ TEST(Testbed, Table1MixtureRoughlyMatchesPlaneSplit) {
     if (sample_table1_failure(rng).control_plane) ++cp;
   }
   EXPECT_NEAR(static_cast<double>(cp) / n, 0.562, 0.02);
+}
+
+// ------------------------------------------------------- Table-1 runs
+
+// The schedule of every Table-1 bench (perfbench's paper_matrix keeps a
+// copy): every mix draw of Rng(seed) is consumed, and the k-th kept
+// sample (1-based) runs under testbed seed seed * 131 + k.
+TEST(Table1Runs, FollowTheSeedTimes131Schedule) {
+  const std::optional<nas::Plane> planes[] = {
+      std::nullopt, nas::Plane::kControl, nas::Plane::kData};
+  for (const std::uint64_t seed : {20220405ULL, 20260806ULL}) {
+    for (const std::optional<nas::Plane> plane : planes) {
+      const std::vector<Table1Run> runs = table1_runs(seed, 40, plane);
+      ASSERT_EQ(runs.size(), 40u);
+      sim::Rng mix(seed);
+      std::uint64_t k = 0;
+      for (const Table1Run& r : runs) {
+        SampledFailure f = sample_table1_failure(mix);
+        while (plane &&
+               f.control_plane != (*plane == nas::Plane::kControl)) {
+          f = sample_table1_failure(mix);
+        }
+        ++k;
+        EXPECT_EQ(r.tb_seed, seed * 131 + k);
+        EXPECT_EQ(r.f.control_plane, f.control_plane);
+        EXPECT_EQ(r.f.cp, f.cp);
+        EXPECT_EQ(r.f.dp, f.dp);
+      }
+    }
+  }
+}
+
+TEST(Testbed, RunTable1ArmsOperatorKnownCustomAction) {
+  for (const bool cp : {true, false}) {
+    Testbed tb(26, Scheme::kSeedR);
+    tb.secondary_congestion_prob = 0;
+    tb.bring_up();
+    SampledFailure f;
+    f.control_plane = cp;
+    f.cp = CpFailure::kCustomUnknown;
+    f.dp = DpFailure::kCustomUnknown;
+    const Outcome out = tb.run_table1(f);
+    EXPECT_TRUE(out.recovered) << (cp ? "cp" : "dp");
+    EXPECT_EQ(tb.core().faults().custom_action_known,
+              cp ? proto::ResetAction::kB2CPlaneReattach
+                 : proto::ResetAction::kB3DPlaneReset);
+  }
+}
+
+TEST(Testbed, RunTable1LeavesStandardCausesWithoutCustomAction) {
+  Testbed tb(27, Scheme::kSeedR);
+  tb.secondary_congestion_prob = 0;
+  tb.bring_up();
+  SampledFailure f;
+  f.cp = CpFailure::kQuickTransient;
+  EXPECT_TRUE(tb.run_table1(f).recovered);
+  EXPECT_FALSE(tb.core().faults().custom_action_known.has_value());
+}
+
+TEST(Table1Tally, ClassifiesOutcomesAndRatesRecoverableRuns) {
+  SampledFailure desync;
+  desync.cp = CpFailure::kIdentityDesync;
+  SampledFailure unauthorized;
+  unauthorized.cp = CpFailure::kUnauthorized;
+  SampledFailure expired;
+  expired.control_plane = false;
+  expired.dp = DpFailure::kExpiredPlan;
+  SampledFailure stale_dnn;
+  stale_dnn.control_plane = false;
+  stale_dnn.dp = DpFailure::kOutdatedDnn;
+  // A cp sample whose unused dp field names a user-action cause.
+  SampledFailure cp_with_expired_dp = desync;
+  cp_with_expired_dp.dp = DpFailure::kExpiredPlan;
+  EXPECT_FALSE(needs_user_action(desync));
+  EXPECT_TRUE(needs_user_action(unauthorized));
+  EXPECT_TRUE(needs_user_action(expired));
+  EXPECT_FALSE(needs_user_action(stale_dnn));
+  EXPECT_FALSE(needs_user_action(cp_with_expired_dp));
+
+  const Outcome recovered{true, 2.0, false};
+  const Outcome timed_out{false, 2400.0, false};
+  const Outcome notified{false, 2400.0, true};
+
+  Table1Tally t;
+  EXPECT_DOUBLE_EQ(t.recovery_rate(), 1.0);  // no recoverable runs yet
+  t.add(desync, recovered);
+  t.add(stale_dnn, Outcome{true, 0.5, false});
+  t.add(unauthorized, recovered);  // recovered wins over the cause
+  t.add(unauthorized, timed_out);
+  t.add(expired, timed_out);
+  t.add(desync, notified);  // the device asked the user to act
+  t.add(desync, timed_out);
+  t.add(cp_with_expired_dp, timed_out);
+  EXPECT_EQ(t.total, 8);
+  EXPECT_EQ(t.recovered, 3);
+  EXPECT_EQ(t.user_action, 3);
+  ASSERT_EQ(t.disruption.count(), 3u);
+  EXPECT_DOUBLE_EQ(t.disruption.median(), 2.0);
+  EXPECT_DOUBLE_EQ(t.recovery_rate(), 3.0 / 5.0);
+
+  Table1Tally only_user_action;
+  only_user_action.add(expired, timed_out);
+  EXPECT_DOUBLE_EQ(only_user_action.recovery_rate(), 1.0);
 }
 
 }  // namespace
